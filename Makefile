@@ -2,7 +2,7 @@
 # + the seconds-scale bench smoke).
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
-  shardcheck netcheck meshcheck obscheck bench bench-smoke bench-json clean
+  netcheck meshcheck obscheck bench bench-smoke bench-json clean
 
 all: build
 
@@ -15,8 +15,8 @@ test:
 check:
 	dune build @all && dune runtest && $(MAKE) faultcheck \
 	  && $(MAKE) recovercheck && $(MAKE) tracecheck && $(MAKE) scalecheck \
-	  && $(MAKE) shardcheck && $(MAKE) netcheck && $(MAKE) meshcheck \
-	  && $(MAKE) obscheck && $(MAKE) bench-smoke
+	  && $(MAKE) netcheck && $(MAKE) meshcheck && $(MAKE) obscheck \
+	  && $(MAKE) bench-smoke
 
 # Fault-injection suite: the supervised-delivery unit tests plus the
 # deterministic CLI demo pinned by test/cram/faults.t.
@@ -54,15 +54,6 @@ scalecheck:
 	./_build/default/bin/genas_cli.exe bench --json --events 200 \
 	  --scaling 1000,10000 --baseline-max 1000 \
 	  | ./_build/default/bin/genas_cli.exe jsoncheck
-
-# Pool/shard suite: the persistent work-stealing pool determinism,
-# stealing, and teardown tests plus the shard-axis differentials
-# (test_pool), run at a forced 2-domain width so the multi-domain
-# paths are exercised even on 1-core hosts. Alcotest runs the full
-# suite; QCheck properties are skipped under -q, so no -q here.
-shardcheck:
-	dune build test/test_pool.exe
-	GENAS_TEST_DOMAINS=2 ./_build/default/test/test_pool.exe
 
 # Networking suite: wire-codec bounds, socket round trips, covering
 # propagation on the wire, fault-driven reconnect + WAL catch-up, the

@@ -4,7 +4,6 @@ module Lattice = Genas_profile.Lattice
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
 module Ops = Genas_filter.Ops
 module Metrics = Genas_obs.Metrics
 
@@ -136,10 +135,6 @@ type t = {
      twin. Rebuilds allocate a fresh recorder — counters are per
      compiled tree, since node ids change shape. *)
   mutable recorder : Flat.recorder option;
-  (* An attached persistent pool: [match_batch] without an explicit
-     [?pool] argument fans out through it. The engine borrows the pool
-     — the caller owns its lifetime and [Pool.shutdown]. *)
-  mutable pool : Pool.t option;
   ops : Ops.t;
   instruments : instruments option;
   agg : agg option;
@@ -239,7 +234,6 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       flat;
       cursor = Flat.cursor flat;
       recorder = None;
-      pool = None;
       ops = Ops.create ();
       instruments = Option.map make_instruments metrics;
       agg;
@@ -652,61 +646,31 @@ let match_with t event ~f =
   let n = match_core t event in
   f ~ids:(result_buffer t) ~len:n
 
-let match_batch ?pool t events =
-  match t.agg with
-  | Some agg ->
-    (* Aggregated engines match batches sequentially: the pool workers
-       only execute the compiled flat form, which no longer holds the
-       full profile population. *)
-    ignore pool;
-    Array.iter (fun e -> Stats.observe_event t.stats e) events;
-    let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-    let results =
+let match_batch t events =
+  refresh_if_stale t;
+  Array.iter (fun e -> Stats.observe_event t.stats e) events;
+  let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
+  let results =
+    match (t.agg, t.recorder) with
+    | None, None ->
+      let out = Array.make (Array.length events) [||] in
+      Flat.match_batch ~ops:t.ops t.flat t.cursor events
+        ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len);
+      out
+    | Some _, _ | None, Some _ ->
       Array.map
         (fun e ->
-          let n = match_agg t agg e in
-          Array.sub agg.scratch 0 n)
+          let n = match_dispatch t e in
+          Array.sub (result_buffer t) 0 n)
         events
-    in
-    (match t.instruments with
-    | None -> ()
-    | Some ins ->
-      Metrics.Counter.add ins.events_total (Array.length events);
-      Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
-      Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
-    results
-  | None ->
-    refresh_if_stale t;
-    Array.iter (fun e -> Stats.observe_event t.stats e) events;
-    let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-    let pool = match pool with Some _ -> pool | None -> t.pool in
-    let results =
-      match pool with
-      | Some p when Pool.domains p > 1 && Array.length events > 1 ->
-        Pool.match_batch ~ops:t.ops p t.flat events
-      | Some _ | None ->
-        let out = Array.make (Array.length events) [||] in
-        (match t.recorder with
-        | None ->
-          Flat.match_batch ~ops:t.ops t.flat t.cursor events
-            ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len)
-        | Some r ->
-          Array.iteri
-            (fun i e ->
-              let len =
-                Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r e
-              in
-              out.(i) <- Array.sub (Flat.matches t.cursor) 0 len)
-            events);
-        out
-    in
-    (match t.instruments with
-    | None -> ()
-    | Some ins ->
-      Metrics.Counter.add ins.events_total (Array.length events);
-      Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
-      Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
-    results
+  in
+  (match t.instruments with
+  | None -> ()
+  | Some ins ->
+    Metrics.Counter.add ins.events_total (Array.length events);
+    Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
+    Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
+  results
 
 let replay_observe t event =
   (* Journal replay: feed the statistics exactly as [match_core] would —
@@ -731,12 +695,6 @@ let restore_ops t (o : Ops.t) =
   t.ops.Ops.matches <- o.Ops.matches
 
 let report t = Cost.evaluate_with_stats t.tree t.stats
-
-(* -- Pool attachment ----------------------------------------------- *)
-
-let set_pool t p = t.pool <- p
-
-let pool t = t.pool
 
 (* -- Hotness-guided relayout --------------------------------------- *)
 

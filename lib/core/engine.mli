@@ -152,35 +152,23 @@ val match_event :
 
 val match_with :
   t -> Genas_model.Event.t -> f:(ids:int array -> len:int -> unit) -> unit
-(** Zero-allocation variant of {!match_event}: [f ~ids ~len] receives
-    the engine's borrowed cursor buffer whose first [len] slots hold
-    the matched ids (ascending). The buffer is overwritten by the next
-    match — copy inside [f] if the ids must outlive the call. *)
+(** Variant of {!match_event} that builds no result list: [f ~ids ~len]
+    receives the engine's borrowed cursor buffer whose first [len]
+    slots hold the matched ids (ascending). The buffer is overwritten
+    by the next match — copy inside [f] if the ids must outlive the
+    call. The match itself allocates nothing, but recording the event
+    in the statistics does (about 34 minor words per event on a
+    three-attribute schema, from {!Stats.observe_event}). *)
 
 val match_batch :
-  ?pool:Genas_filter.Pool.t ->
   t ->
   Genas_model.Event.t array ->
   Genas_profile.Profile_set.id array array
-(** Filter a batch: one ascending id array per event, index-aligned.
-    Statistics, operation counters, and metrics advance exactly as if
-    each event had gone through {!match_event}, except that per-event
-    latency histograms are not observed on the batch path. With [pool]
-    (and more than one domain and event) matching fans out across
-    domains; results and counters are identical to the sequential
-    path. Without an explicit [pool] the engine's attached pool (see
-    {!set_pool}) is used, if any. Aggregated engines ignore [pool]:
-    workers execute only the compiled flat form, which no longer holds
-    the full population. *)
-
-val set_pool : t -> Genas_filter.Pool.t option -> unit
-(** Attach (or detach, with [None]) a persistent domain pool;
-    {!match_batch} calls without an explicit [?pool] fan out through
-    it. The engine borrows the pool — the caller keeps ownership and
-    is responsible for {!Genas_filter.Pool.shutdown}. *)
-
-val pool : t -> Genas_filter.Pool.t option
-(** The currently attached pool. *)
+(** Filter a batch on the calling domain: one ascending id array per
+    event, index-aligned. Statistics, operation counters, and metrics
+    advance exactly as if each event had gone through {!match_event},
+    except that per-event latency histograms are not observed on the
+    batch path. *)
 
 val rebuild : t -> unit
 (** Re-plan the tree configuration from the current statistics (and
@@ -202,13 +190,12 @@ val report : t -> Cost.report
 
 (** {1 Hotness profiling}
 
-    When enabled, single-event and sequential-batch matching run
-    through {!Genas_filter.Flat.match_into_recorded}, accumulating
-    per-node and per-level visit counters and keeping the last
-    traversal path. Disabled (the default), matching dispatches the
-    plain loop, which takes no recorder argument at all — zero
-    profiling cost by construction. Pool-parallel batches are never
-    recorded (workers use private cursors). *)
+    When enabled, single-event and batch matching run through
+    {!Genas_filter.Flat.match_into_recorded}, accumulating per-node and
+    per-level visit counters and keeping the last traversal path.
+    Disabled (the default), matching dispatches the plain loop, which
+    takes no recorder argument at all — zero profiling cost by
+    construction. *)
 
 val set_profiling : t -> bool -> unit
 (** Enable/disable hotness recording. Enabling allocates a fresh

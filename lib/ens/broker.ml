@@ -7,7 +7,6 @@ module Engine = Genas_core.Engine
 module Adaptive = Genas_core.Adaptive
 module Stats = Genas_core.Stats
 module Ops = Genas_filter.Ops
-module Pool = Genas_filter.Pool
 module Flat = Genas_filter.Flat
 module Metrics = Genas_obs.Metrics
 module Trace = Genas_obs.Trace
@@ -37,7 +36,6 @@ type instruments = {
   quench_rebuilds_total : Metrics.counter;
   quench_suppressed_total : Metrics.counter;
   batch_size : Metrics.histogram;
-  pool_workers : Metrics.gauge;
 }
 
 let make_instruments registry =
@@ -63,10 +61,6 @@ let make_instruments registry =
         ~help:"Events per publish_batch call"
         ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.;
                     4096.; 16384.; 65536. |];
-    pool_workers =
-      Metrics.gauge registry "genas_broker_pool_workers"
-        ~help:"Domains of the pool used by the most recent publish_batch \
-               (1 = sequential)";
   }
 
 let delivery_counter instruments subscriber =
@@ -419,16 +413,15 @@ let publish_core t event =
 let publish t event =
   with_publish_trace t ~name:"broker.publish" (fun () -> publish_core t event)
 
-let publish_batch_core ?pool t events =
+let publish_batch_core t events =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
   let n = Array.length events in
-  (* Matching fans out across the pool's domains; delivery stays on the
-     calling domain, in batch order, because handlers are arbitrary
-     user code and composite detection is stateful over the stream. *)
+  (* The whole batch is matched first, then delivered in batch order:
+     composite detection is stateful over the stream. *)
   let do_match () =
     match t.adaptive with
-    | Some a -> Adaptive.match_batch ?pool a events
-    | None -> Engine.match_batch ?pool t.engine events
+    | Some a -> Adaptive.match_batch a events
+    | None -> Engine.match_batch t.engine events
   in
   let results =
     match t.tracer with
@@ -453,15 +446,13 @@ let publish_batch_core ?pool t events =
   | Some ins ->
     Metrics.Counter.add ins.published_total n;
     Metrics.Counter.add ins.notifications_total !sent;
-    Metrics.Histogram.observe ins.batch_size (float_of_int n);
-    Metrics.Gauge.set ins.pool_workers
-      (float_of_int (match pool with Some p -> Pool.domains p | None -> 1)));
+    Metrics.Histogram.observe ins.batch_size (float_of_int n));
   journal_publish t ~events ~batch:true ~total_before;
   !sent
 
-let publish_batch ?pool t events =
+let publish_batch t events =
   with_publish_trace t ~name:"broker.publish_batch" (fun () ->
-      publish_batch_core ?pool t events)
+      publish_batch_core t events)
 
 let publish_quenched t event =
   if Quench.wanted_event (quench t) event then Some (publish t event)

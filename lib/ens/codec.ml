@@ -62,8 +62,10 @@ type reader = { buf : string; mutable pos : int }
 
 let reader ?(pos = 0) buf = { buf; pos }
 
+(* [r.pos + n] would overflow for a hostile [n] near [max_int]; compare
+   against the bytes remaining instead. *)
 let need r n =
-  if n < 0 || r.pos + n > String.length r.buf then corrupt "truncated payload"
+  if n < 0 || n > String.length r.buf - r.pos then corrupt "truncated payload"
 
 let r_u8 r =
   need r 1;
@@ -95,14 +97,22 @@ let r_option rd r =
   | 1 -> Some (rd r)
   | t -> corrupt "bad option tag %d" t
 
-let r_list rd r =
+(* An element count is untrusted: bound it before anything is sized from
+   it. Every element encoding consumes at least one byte, so a count
+   larger than the bytes remaining can never be valid. *)
+let r_count r ~what =
   let n = r_int r in
-  if n < 0 then corrupt "negative list length";
+  if n < 0 then corrupt "negative %s length" what;
+  if n > String.length r.buf - r.pos then
+    corrupt "%s length %d exceeds the remaining payload" what n;
+  n
+
+let r_list rd r =
+  let n = r_count r ~what:"list" in
   List.init n (fun _ -> rd r)
 
 let r_array rd r =
-  let n = r_int r in
-  if n < 0 then corrupt "negative array length";
+  let n = r_count r ~what:"array" in
   Array.init n (fun _ -> rd r)
 
 let r_end r =

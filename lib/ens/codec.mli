@@ -28,7 +28,12 @@ val w_option : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
 val w_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
 val w_array : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a array -> unit
 
-(** {1 Readers} (a cursor over an in-memory string) *)
+(** {1 Readers} (a cursor over an in-memory string)
+
+    Every reader raises only {!Corrupt} on malformed input. Lengths and
+    element counts are checked against the bytes remaining before
+    anything is allocated from them, so a hostile count cannot
+    overflow or exhaust memory. *)
 
 type reader
 

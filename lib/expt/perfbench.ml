@@ -7,8 +7,6 @@ module Shape = Genas_dist.Shape
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
-module Shard = Genas_filter.Shard
 module Naive = Genas_filter.Naive
 module Counting = Genas_filter.Counting
 module Ops = Genas_filter.Ops
@@ -29,7 +27,6 @@ type result = {
   name : string;
   matcher : string;
   strategy : string;
-  domains : int;
   timed_events : int;
   events_per_sec : float;
   comparisons_per_event : float;
@@ -46,10 +43,9 @@ type t = {
   results : result list;
 }
 
-(* Host core count, so BENCH_*.json scaling claims are interpretable:
-   a pool row that shows no speedup on a 1-core host is expected, not
-   a regression. Linux exposes it in /proc/cpuinfo; elsewhere fall
-   back to the runtime's recommendation. *)
+(* Host core count, so BENCH_*.json figures from different hosts can be
+   told apart. Linux exposes it in /proc/cpuinfo; elsewhere fall back
+   to the runtime's recommendation. *)
 let host_cpu_count () =
   match open_in "/proc/cpuinfo" with
   | exception Sys_error _ -> Domain.recommended_domain_count ()
@@ -77,7 +73,6 @@ type entry = {
   e_name : string;
   e_matcher : string;
   e_strategy : string;
-  e_domains : int;
   timed : int -> int;
   counted : unit -> Ops.t;
 }
@@ -92,7 +87,6 @@ let measure ~events entry =
     name = entry.e_name;
     matcher = entry.e_matcher;
     strategy = entry.e_strategy;
-    domains = entry.e_domains;
     timed_events = n;
     events_per_sec = (if dt > 0.0 then float_of_int n /. dt else 0.0);
     comparisons_per_event =
@@ -101,7 +95,7 @@ let measure ~events entry =
       float_of_int ops.Ops.matches /. float_of_int ops.Ops.events;
   }
 
-let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
+let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) () =
   let attrs = 3 in
   let schema = Workload.normalized_schema ~attrs ~points:100 () in
   let axes =
@@ -163,18 +157,11 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
   in
   let per_event f = per_event_over pool_events f in
   let counted_per_event f = counted_per_event_over pool_events f in
-  (* Whole-pool passes for the batch entries: ~n events rounded up to
+  (* Whole-pool passes for the batch entry: ~n events rounded up to
      full passes so each pass matches the same 1024 events. *)
   let passes n = (n + pool_size - 1) / pool_size in
-  let entry ?(domains = 1) name matcher strategy timed counted =
-    {
-      e_name = name;
-      e_matcher = matcher;
-      e_strategy = strategy;
-      e_domains = domains;
-      timed;
-      counted;
-    }
+  let entry name matcher strategy timed counted =
+    { e_name = name; e_matcher = matcher; e_strategy = strategy; timed; counted }
   in
   let baseline_entries =
     [
@@ -220,26 +207,6 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
         let ops = Ops.create () in
         Flat.match_batch ~ops batch_flat batch_cur pool_events
           ~f:(fun _ ~ids:_ ~len:_ -> ());
-        ops)
-  in
-  (* Packed-batch kernel: the whole pool resolved once into the int
-     image, then matched from int arrays only. *)
-  let packed = Flat.pack_batch batch_flat pool_events in
-  let packed_entry =
-    entry "flat-packed/v1+a2" "flat-packed" "v1+a2"
-      (fun n ->
-        let k = passes n in
-        for _ = 1 to k do
-          for i = 0 to pool_size - 1 do
-            ignore (Flat.match_packed_into batch_flat batch_cur packed i)
-          done
-        done;
-        k * pool_size)
-      (fun () ->
-        let ops = Ops.create () in
-        for i = 0 to pool_size - 1 do
-          ignore (Flat.match_packed_into ~ops batch_flat batch_cur packed i)
-        done;
         ops)
   in
   (* Skewed "TV-style" workload: events peaked on a narrow hot region
@@ -297,87 +264,13 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
         ("flat-skew-layout/v1+a2", skew_layout_flat);
       ]
   in
-  let recommended = Domain.recommended_domain_count () in
-  let live_pools = ref [] in
-  let new_pool ?persistent d =
-    let p = Pool.create ~domains:d ?persistent () in
-    live_pools := p :: !live_pools;
-    p
-  in
-  (* Always record 1- and 2-domain rows — on a 1-core host they show
-     (honestly) no speedup, but the perf-trajectory file keeps the same
-     shape across hosts. [?domains] overrides the whole list. *)
-  let pool_domains =
-    match domains with
-    | Some ds -> List.sort_uniq Int.compare ds
-    | None -> List.sort_uniq Int.compare [ 1; 2; min 4 (max 2 recommended) ]
-  in
-  let pool_entries =
-    List.map
-      (fun d ->
-        let p = new_pool d in
-        entry
-          (Printf.sprintf "pool/v1+a2/d%d" d)
-          "pool" "v1+a2" ~domains:d
-          (fun n ->
-            let k = passes n in
-            for _ = 1 to k do
-              ignore (Pool.match_batch p batch_flat pool_events)
-            done;
-            k * pool_size)
-          (fun () ->
-            let ops = Ops.create () in
-            ignore (Pool.match_batch ~ops p batch_flat pool_events);
-            ops))
-      pool_domains
-  in
-  (* The retired spawn-per-batch path, kept one release behind
-     [?persistent:false]: a regression row so the persistent pool's
-     win over fresh-domain spawning stays measured. *)
-  let spawn_entry =
-    let p = new_pool ~persistent:false 2 in
-    entry "pool-spawn/v1+a2/d2" "pool-spawn" "v1+a2" ~domains:2
-      (fun n ->
-        let k = passes n in
-        for _ = 1 to k do
-          ignore (Pool.match_batch p batch_flat pool_events)
-        done;
-        k * pool_size)
-      (fun () ->
-        let ops = Ops.create () in
-        ignore (Pool.match_batch ~ops p batch_flat pool_events);
-        ops)
-  in
-  (* The second parallel axis: profile-partition shards fanned out
-     across one persistent pool. Shards compile their own (natural
-     order) trees, so comparison counts differ from the unsharded
-     matcher by design. *)
-  let shard_pool = new_pool (min 4 (max 2 recommended)) in
-  let shard_entries =
-    List.map
-      (fun s ->
-        let sh = Shard.build ~shards:s pset in
-        entry
-          (Printf.sprintf "shard/natural/s%d" s)
-          "shard" "natural" ~domains:(Pool.domains shard_pool)
-          (fun n ->
-            let k = passes n in
-            for _ = 1 to k do
-              ignore (Pool.match_shards shard_pool sh pool_events)
-            done;
-            k * pool_size)
-          (fun () ->
-            let ops = Ops.create () in
-            ignore (Pool.match_shards ~ops shard_pool sh pool_events);
-            ops))
-      [ 2; 4 ]
-  in
   (* Full publish path (matching + supervised delivery to null
      handlers) through a broker: untraced, with a never-sampling
-     tracer attached ("traced-off" — the disabled-tracing cost the
-     cram suite asserts is noise), and fully traced. The timed broker
-     accumulates state across passes; [counted] replays the pool once
-     through a fresh broker so the comparison counters stay exact. *)
+     tracer attached ("traced-off" — the disabled-tracing cost; the
+     cram suite pins its comparison count to the untraced row's), and
+     fully traced. The timed broker accumulates state across passes;
+     [counted] replays the pool once through a fresh broker so the
+     comparison counters stay exact. *)
   let make_broker tracer =
     let b =
       match tracer with
@@ -410,10 +303,10 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
      trip (encode, checksum, kernel, decode, match, supervised
      delivery, ack). The traced-off row attaches a never-sampling
      tracer to both ends: the disabled-tracing overhead on the
-     networked path, which the cram suite pins as noise. Matching runs
-     on the server's broker (the usual topology); [counted] replays
-     the pool through an identically subscribed local broker, because
-     the wire never changes what the matcher compares. *)
+     networked path. Matching runs on the server's broker (the usual
+     topology); [counted] replays the pool through an identically
+     subscribed local broker, because the wire never changes what the
+     matcher compares. *)
   let live_net = ref [] in
   let net_publish_entries =
     List.map
@@ -458,22 +351,16 @@ let run ?(profiles = 500) ?(seed = 99) ?(events = 50_000) ?domains () =
   in
   let results =
     List.map (measure ~events)
-      (baseline_entries @ tree_entries
-      @ [ batch_entry; packed_entry ]
-      @ skew_entries @ publish_entries @ net_publish_entries @ pool_entries
-      @ [ spawn_entry ] @ shard_entries)
+      (baseline_entries @ tree_entries @ [ batch_entry ] @ skew_entries
+      @ publish_entries @ net_publish_entries)
   in
-  (* Pools own domains; release them before returning (the at_exit
-     hook would catch them anyway, but a long-lived caller should not
-     keep benchmark workers parked). *)
   List.iter (fun f -> f ()) !live_net;
-  List.iter Pool.shutdown !live_pools;
   {
     profiles;
     attributes = attrs;
     event_pool = pool_size;
     seed;
-    recommended_domains = recommended;
+    recommended_domains = Domain.recommended_domain_count ();
     cpu_count = host_cpu_count ();
     results;
   }
@@ -656,15 +543,6 @@ let speedup t ~num ~den =
   | Some a, Some b when b > 0.0 -> Some (a /. b)
   | _ -> None
 
-let pool_peak t =
-  List.filter (fun r -> r.matcher = "pool") t.results
-  |> List.fold_left
-       (fun acc r ->
-         match acc with
-         | Some best when best.events_per_sec >= r.events_per_sec -> acc
-         | _ -> Some r)
-       None
-
 let to_json ?scale:sc t =
   let result_json r =
     Json.Obj
@@ -672,7 +550,10 @@ let to_json ?scale:sc t =
         ("name", Json.Str r.name);
         ("matcher", Json.Str r.matcher);
         ("strategy", Json.Str r.strategy);
-        ("domains", Json.Int r.domains);
+        (* Every row runs on one domain; the field stays so older
+           BENCH_*.json files, which carried multi-domain rows, remain
+           comparable row by row. *)
+        ("domains", Json.Int 1);
         ("timed_events", Json.Int r.timed_events);
         ("events_per_sec", Json.number r.events_per_sec);
         ("comparisons_per_event", Json.number r.comparisons_per_event);
@@ -683,18 +564,11 @@ let to_json ?scale:sc t =
     let field name v =
       (name, match v with Some s -> Json.number s | None -> Json.Null)
     in
-    let pool_speedup =
-      match (pool_peak t, find_eps t "pool/v1+a2/d1") with
-      | Some peak, Some d1 when d1 > 0.0 -> Some (peak.events_per_sec /. d1)
-      | _ -> None
-    in
     Json.Obj
       [
         field "flat_vs_tree" (speedup t ~num:"flat/v1+a2" ~den:"tree/v1+a2");
         field "flat_batch_vs_tree"
           (speedup t ~num:"flat-batch/v1+a2" ~den:"tree/v1+a2");
-        field "packed_vs_batch"
-          (speedup t ~num:"flat-packed/v1+a2" ~den:"flat-batch/v1+a2");
         field "layout_vs_default"
           (speedup t ~num:"flat-skew-layout/v1+a2" ~den:"flat-skew/v1+a2");
         field "publish_traced_off_vs_untraced"
@@ -703,13 +577,6 @@ let to_json ?scale:sc t =
           (speedup t ~num:"publish/traced" ~den:"publish/untraced");
         field "publish_net_traced_off_vs_untraced"
           (speedup t ~num:"publish/net-traced-off" ~den:"publish/net-untraced");
-        field "pool_peak_vs_1_domain" pool_speedup;
-        field "pool_persistent_vs_spawn_d2"
-          (speedup t ~num:"pool/v1+a2/d2" ~den:"pool-spawn/v1+a2/d2");
-        ( "pool_peak_domains",
-          match pool_peak t with
-          | Some r -> Json.Int r.domains
-          | None -> Json.Null );
       ]
   in
   Json.Obj
@@ -729,13 +596,6 @@ let to_json ?scale:sc t =
            [
              ("recommended_domains", Json.Int t.recommended_domains);
              ("cpu_count", Json.Int t.cpu_count);
-             ( "scaling_note",
-               if t.cpu_count <= 1 then
-                 Json.Str
-                   "single-core host: multi-domain rows cannot show \
-                    wall-clock scaling; per-domain entries recorded for \
-                    cross-host comparison"
-               else Json.Null );
            ] );
        ("results", Json.List (List.map result_json t.results));
        ("derived", derived);
@@ -748,7 +608,6 @@ let table t =
       (fun r ->
         [
           r.name;
-          string_of_int r.domains;
           Printf.sprintf "%.0f" r.events_per_sec;
           Report.f2 r.comparisons_per_event;
           Report.f2 r.matches_per_event;
@@ -756,7 +615,7 @@ let table t =
       t.results
   in
   Report.table ~title:"Matcher throughput (wall clock)"
-    ~columns:[ "matcher"; "domains"; "events/s"; "cmp/event"; "match/event" ]
+    ~columns:[ "matcher"; "events/s"; "cmp/event"; "match/event" ]
     ~notes:
       [
         Printf.sprintf

@@ -4,12 +4,9 @@
     every matcher in the repository run over the same pre-built event
     pool: the naive and counting baselines, the pointer profile tree
     and its compiled {!Genas_filter.Flat} form per value strategy, the
-    flat batch and packed-batch paths, the skewed-workload pair with
-    and without the hotness-guided relayout, the persistent
-    {!Genas_filter.Pool} fan-out per domain count (plus the retired
-    spawn-per-batch path as a regression row), and the
-    {!Genas_filter.Shard} profile-partition axis at 2 and 4 shards.
-    Wall clock is read from the monotonic {!Genas_obs.Clock};
+    flat batch path, the skewed-workload pair with and without the
+    hotness-guided relayout, and the in-process and loopback publish
+    paths. Every row runs on the calling domain. Wall clock is read from the monotonic {!Genas_obs.Clock};
     comparisons/event comes from a separate deterministic
     [Ops]-counted replay of the event pool, so the figures are stable
     across runs even though events/sec is not.
@@ -19,10 +16,10 @@
     docs/PERFORMANCE.md). *)
 
 type result = {
-  name : string;  (** e.g. ["flat/v1+a2"], ["pool/v1+a2/d2"] *)
+  name : string;  (** e.g. ["flat/v1+a2"], ["publish/untraced"] *)
   matcher : string;
-      (** naive|counting|tree|flat|flat-batch|flat-packed|flat-skew|
-          flat-skew-layout|publish|publish-net|pool|pool-spawn|shard;
+      (** naive|counting|tree|flat|flat-batch|flat-skew|
+          flat-skew-layout|publish|publish-net;
           the [publish-net] rows ([publish/net-untraced] and
           [publish/net-traced-off]) time a loopback
           {!Genas_ens.Broker_client} publish round trip over a Unix
@@ -31,7 +28,6 @@ type result = {
           [publish_net_traced_off_vs_untraced] field, the
           disabled-tracing overhead on the networked path *)
   strategy : string;  (** value strategy, or ["n/a"] *)
-  domains : int;  (** 1 except for pool and shard entries *)
   timed_events : int;
   events_per_sec : float;
   comparisons_per_event : float;
@@ -51,12 +47,9 @@ type t = {
 
 val host_cpu_count : unit -> int
 
-val run : ?profiles:int -> ?seed:int -> ?events:int -> ?domains:int list ->
-  unit -> t
-(** [events] (default 50_000) is the per-entry timing budget; batch
-    and pool entries round it up to whole event-pool passes.
-    [domains] overrides the pool-row domain counts (default [1; 2] and
-    the host recommendation capped at 4). *)
+val run : ?profiles:int -> ?seed:int -> ?events:int -> unit -> t
+(** [events] (default 50_000) is the per-entry timing budget; the
+    batch entry rounds it up to whole event-pool passes. *)
 
 (** {1 Profile-count scaling}
 
@@ -107,11 +100,10 @@ val scale_to_json : scale -> Genas_obs.Json.t
 
 val to_json : ?scale:scale -> t -> Genas_obs.Json.t
 (** The `BENCH_*.json` document: bench/schema_version header, workload
-    and host blocks (core count and a scaling note when the host is
-    single-core), one result object per entry, and derived speedups
-    (flat vs tree, flat batch vs tree, packed vs batch, layout vs
-    default on the skewed workload, persistent vs spawn pool at two
-    domains, pool peak vs one domain). With
+    and host blocks, one result object per entry (each with
+    ["domains": 1], kept so older files stay comparable), and derived
+    speedups (flat vs tree, flat batch vs tree, layout vs default on
+    the skewed workload, traced vs untraced publish). With
     [scale], the scaling curve is attached as a ["scaling"] block
     (whose keys deliberately avoid the classic result keys the cram
     suite counts). *)

@@ -608,39 +608,6 @@ let set_event_targets t cur event =
     cur.targets.(attr) <- target_of_value t attr (Event.value event attr)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Packed batches: every event of a batch resolved once into a dense
-   row-major [int array] of lookup targets. The traversal then touches
-   only int arrays — no boxed values, no model-layer lookups — which is
-   what the pool workers share across domains: the packed image is
-   immutable, so a stolen chunk costs two array reads per attribute. *)
-
-type packed = { pk_owner : t; pk_targets : int array; pk_events : int }
-
-let pack_batch t events =
-  let n = Array.length events in
-  let targets = Array.make (n * t.arity) 0 in
-  for i = 0 to n - 1 do
-    let e = events.(i) in
-    let base = i * t.arity in
-    for attr = 0 to t.arity - 1 do
-      targets.(base + attr) <- target_of_value t attr (Event.value e attr)
-    done
-  done;
-  { pk_owner = t; pk_targets = targets; pk_events = n }
-
-let packed_events pk = pk.pk_events
-
-let match_packed_into ?ops t cur pk i =
-  check_cursor t cur ~who:"Flat.match_packed_into";
-  if pk.pk_owner != t then
-    invalid_arg
-      "Flat.match_packed_into: packed batch built for a different matcher";
-  if i < 0 || i >= pk.pk_events then
-    invalid_arg "Flat.match_packed_into: event index out of range";
-  Array.blit pk.pk_targets (i * t.arity) cur.targets 0 t.arity;
-  run ?ops t cur
-
 let match_into ?ops t cur event =
   check_cursor t cur ~who:"Flat.match_into";
   set_event_targets t cur event;

@@ -23,8 +23,7 @@
     that dedups matched ids without clearing between events: the
     steady-state path performs no per-event allocation of match lists
     or arrays. A cursor belongs to one compiled matcher and one thread
-    of control; for cross-domain batch matching give each worker its
-    own cursor (see {!Pool}). *)
+    of control. *)
 
 type t
 
@@ -76,8 +75,10 @@ val cursor : t -> cursor
 val match_into : ?ops:Ops.t -> t -> cursor -> Genas_model.Event.t -> int
 (** Match one event into the cursor, returning the number of matched
     profile ids (readable via {!matches}/{!iter_matches}, ascending).
-    Allocation-free on the steady-state path apart from the boxed
-    coordinate options the model layer returns.
+    Allocates nothing on int-range attributes (0 minor words per event,
+    pinned by a test); enum and bool lookups box one rank option per
+    attribute, and float attributes the coordinate option of the
+    generic path.
 
     @raise Invalid_argument if the cursor was built for a different
     matcher. *)
@@ -129,32 +130,6 @@ val match_into_recorded :
     @raise Invalid_argument if the cursor or recorder was built for a
     different matcher. *)
 
-(** {2 Packed batches}
-
-    A batch of events resolved once into a dense row-major [int array]
-    of per-attribute lookup targets. Matching from the packed form
-    touches only int arrays — no boxed values, no model-layer lookups —
-    and the packed image is immutable, so pool workers on other domains
-    share it with zero coordination. Match results and operation
-    counters are bit-identical to {!match_into} on the source
-    events. *)
-
-type packed
-
-val pack_batch : t -> Genas_model.Event.t array -> packed
-(** Resolve every event of the batch (in order) to its int targets.
-    One pass, no per-event allocation beyond the packed image
-    itself. *)
-
-val packed_events : packed -> int
-
-val match_packed_into : ?ops:Ops.t -> t -> cursor -> packed -> int -> int
-(** [match_packed_into t cur pk i] matches packed event [i] exactly as
-    {!match_into} would match the source event.
-
-    @raise Invalid_argument if the cursor or the packed batch belongs
-    to a different matcher, or [i] is out of range. *)
-
 val match_coords_into : ?ops:Ops.t -> t -> cursor -> float array -> int
 (** Same, from raw axis coordinates indexed by natural attribute index
     (the simulation path).
@@ -186,4 +161,5 @@ val match_batch :
     per event in order, with [ids] the borrowed output buffer whose
     first [len] slots hold event [i]'s matched profile ids (ascending).
     The buffer is overwritten by the next event — copy inside [f] if
-    the ids must outlive the call. *)
+    the ids must outlive the call. Allocates no more than {!match_into}
+    and [f] do. *)

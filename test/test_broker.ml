@@ -280,6 +280,45 @@ let test_raising_handler_batch () =
   Alcotest.(check int) "failures" 2 (Supervise.failures (Broker.supervisor b));
   Alcotest.(check int) "dead letters" 2 (Deadletter.length (Broker.deadletter b))
 
+(* A tracer that never samples must stay off the matcher and cost a
+   bounded, measured number of minor words per publish: the engine keeps
+   its plain (unrecorded) loop, no trace is ever opened, and the extra
+   allocation against an untraced broker on the same events stays
+   within 12 words per publish (11.35 measured here on the paper's
+   table workload when the bound was set, rounded up). *)
+let test_never_sampling_tracer () =
+  let module Trace = Genas_obs.Trace in
+  let module Engine = Genas_core.Engine in
+  let module Profile_set = Genas_profile.Profile_set in
+  let module Table = Genas_testlib.Table in
+  let { Table.schema = s; pset; events } = Table.create () in
+  let make ?tracer () =
+    let b = Broker.create ~spec:Table.v1a2 ?tracer s in
+    Profile_set.iter pset (fun id p ->
+        ignore
+          (Broker.subscribe b ~subscriber:(string_of_int id) ~profile:p
+             (fun _ -> ())));
+    b
+  in
+  let words_per_publish b =
+    let pass () = Array.iter (fun e -> ignore (Broker.publish b e)) events in
+    pass () (* warm tables and statistics *);
+    let w0 = Gc.minor_words () in
+    pass ();
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length events)
+  in
+  let tracer = Trace.create ~sample:0.0 ~seed:1 () in
+  let traced = make ~tracer () in
+  let untraced = make () in
+  let extra = words_per_publish traced -. words_per_publish untraced in
+  Alcotest.(check bool) "engine not profiling" false
+    (Engine.profiling (Broker.engine traced));
+  Alcotest.(check int) "no trace sampled" 0 (Trace.sampled tracer);
+  if extra > 12.0 then
+    Alcotest.failf "never-sampling tracer costs %.2f words/publish (> 12)" extra;
+  Alcotest.(check int) "same notifications"
+    (Broker.notifications untraced) (Broker.notifications traced)
+
 let test_raising_composite_handler () =
   let s = schema () in
   let b = Broker.create s in
@@ -339,6 +378,11 @@ let () =
             test_raising_handler_batch;
           Alcotest.test_case "raising composite handler" `Quick
             test_raising_composite_handler;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "never-sampling tracer" `Quick
+            test_never_sampling_tracer;
         ] );
       ( "quench",
         [

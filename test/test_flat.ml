@@ -14,7 +14,6 @@ module Profile_set = Genas_profile.Profile_set
 module Decomp = Genas_filter.Decomp
 module Tree = Genas_filter.Tree
 module Flat = Genas_filter.Flat
-module Pool = Genas_filter.Pool
 module Naive = Genas_filter.Naive
 module Counting = Genas_filter.Counting
 module Ops = Genas_filter.Ops
@@ -23,6 +22,7 @@ module Selectivity = Genas_core.Selectivity
 module Reorder = Genas_core.Reorder
 module Engine = Genas_core.Engine
 module Gen = Genas_testlib.Gen
+module Table = Genas_testlib.Table
 
 (* Every value-strategy family the reorderer can emit, so the flat
    scan's linear, binary, and hashed branches are all exercised. *)
@@ -200,29 +200,6 @@ let prop_batch_equals_sequential =
           got.(i) <- Array.sub ids 0 len);
       got = seq)
 
-(* Persistent pools own live domains, so tests share one instance per
-   size instead of creating one per QCheck iteration (the runtime caps
-   live domains); Pool's at_exit hook joins them at process end. *)
-let shared_pool4 = lazy (Pool.create ~domains:4 ())
-let shared_pool3 = lazy (Pool.create ~domains:3 ())
-
-let prop_pool_equals_one_domain =
-  QCheck.Test.make ~name:"pool d4 = pool d1 = sequential (matches and ops)"
-    ~count:25
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:40 ()))
-    (fun (_, pset, events) ->
-      let stats = Stats.create (Decomp.build pset) in
-      let flat = Flat.compile (Reorder.build stats Reorder.default_spec) in
-      let events = Array.of_list events in
-      let run pool =
-        let ops = Ops.create () in
-        let r = Pool.match_batch ~ops pool flat events in
-        (r, ops)
-      in
-      let r1, ops1 = run (Pool.create ~domains:1 ()) in
-      let r4, ops4 = run (Lazy.force shared_pool4) in
-      r1 = r4 && ops_eq ops1 ops4)
-
 let prop_engine_batch_equals_match_event =
   QCheck.Test.make ~name:"Engine.match_batch = Engine.match_event loop"
     ~count:25
@@ -239,11 +216,12 @@ let prop_engine_batch_equals_match_event =
         let engine = Engine.create pset in
         Engine.match_batch engine events
       in
-      let pooled =
+      let profiled =
         let engine = Engine.create pset in
-        Engine.match_batch ~pool:(Lazy.force shared_pool3) engine events
+        Engine.set_profiling engine true;
+        Engine.match_batch engine events
       in
-      seq = batched && seq = pooled)
+      seq = batched && seq = profiled)
 
 (* An aggregated engine compiles only the covering-minimal roots and
    expands absorbed profiles at match time; its decisions must be
@@ -274,8 +252,7 @@ let prop_engine_aggregated_equals_plain =
    bit-identical to the default layout, whatever visit counts drive
    it. Both the [relayout] entry point (visits keyed to the given
    form) and [compile ?layout] (visits keyed to the default compile)
-   are pinned, plus the packed-batch path against per-event
-   [match_into]. *)
+   are pinned. *)
 let prop_relayout_equals_default =
   QCheck.Test.make ~name:"relayout / compile ?layout = default layout"
     ~count:40
@@ -317,29 +294,6 @@ let prop_relayout_equals_default =
                events
           && ops_eq base_ops hot_ops)
         variants)
-
-let prop_packed_equals_match_into =
-  QCheck.Test.make ~name:"packed batch = per-event match_into" ~count:40
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:12 ~n_events:25 ()))
-    (fun (_, pset, events) ->
-      let stats = Stats.create (Decomp.build pset) in
-      let flat = Flat.compile (Reorder.build stats Reorder.default_spec) in
-      let batch = Array.of_list events in
-      let pk = Flat.pack_batch flat batch in
-      let plain_ops = Ops.create () and packed_ops = Ops.create () in
-      let plain_cur = Flat.cursor flat and packed_cur = Flat.cursor flat in
-      Flat.packed_events pk = Array.length batch
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun i e ->
-                let n = Flat.match_into ~ops:plain_ops flat plain_cur e in
-                let expect = Array.sub (Flat.matches plain_cur) 0 n in
-                let m =
-                  Flat.match_packed_into ~ops:packed_ops flat packed_cur pk i
-                in
-                Array.sub (Flat.matches packed_cur) 0 m = expect)
-              batch)
-      && ops_eq plain_ops packed_ops)
 
 (* Engine.relayout_now: profiling-gated, behaviour-preserving, and the
    recorder restarts against the new layout. *)
@@ -475,28 +429,54 @@ let test_sharing_preserved () =
     (st.Tree.nodes + st.Tree.leaves)
     (Flat.node_count flat)
 
-let test_packed_guards () =
+let test_relayout_guards () =
   let s = schema () in
-  let flat_a = flat_of (pset_of s [ [ ("x", Predicate.Eq (Value.Int 1)) ] ]) in
-  let flat_b = flat_of (pset_of s [ [ ("x", Predicate.Eq (Value.Int 2)) ] ]) in
-  let batch = [| event s 1 "a"; event s 2 "b" |] in
-  let pk = Flat.pack_batch flat_a batch in
-  let cur_a = Flat.cursor flat_a in
-  (try
-     ignore (Flat.match_packed_into flat_b (Flat.cursor flat_b) pk 0);
-     Alcotest.fail "foreign packed batch accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Flat.match_packed_into flat_a cur_a pk 2);
-     Alcotest.fail "out-of-range packed index accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Flat.relayout flat_a [| 1 |]);
-     (* length must be node_count *)
-     if Flat.node_count flat_a <> 1 then
-       Alcotest.fail "wrong-length layout accepted"
-   with Invalid_argument _ -> ());
-  Alcotest.(check int) "packed batch length" 2 (Flat.packed_events pk)
+  let flat = flat_of (pset_of s [ [ ("x", Predicate.Eq (Value.Int 1)) ] ]) in
+  try
+    ignore (Flat.relayout flat [| 1 |]);
+    (* length must be node_count *)
+    if Flat.node_count flat <> 1 then
+      Alcotest.fail "wrong-length layout accepted"
+  with Invalid_argument _ -> ()
+
+(* Allocation contracts, measured with [Gc.minor_words] on the paper's
+   table workload (500 profiles over 3 int attributes, V1+A2 order):
+   the steady-state flat kernel allocates nothing per event, on the
+   single-event and the batch path alike. *)
+let alloc_workload () =
+  let w = Table.create () in
+  let stats = Stats.create (Decomp.build w.Table.pset) in
+  (Flat.compile (Reorder.build stats Table.v1a2), w.Table.events)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_match_into_allocates_nothing () =
+  let flat, events = alloc_workload () in
+  let cur = Flat.cursor flat in
+  let matched = ref 0 in
+  let run () =
+    for i = 0 to Array.length events - 1 do
+      matched := !matched + Flat.match_into flat cur (Array.unsafe_get events i)
+    done
+  in
+  run () (* warm the cursor *);
+  Alcotest.(check (float 0.0)) "minor words over 1024 events" 0.0
+    (minor_words_of run);
+  Alcotest.(check bool) "events matched something" true (!matched > 0)
+
+let test_match_batch_allocates_nothing () =
+  let flat, events = alloc_workload () in
+  let cur = Flat.cursor flat in
+  let matched = ref 0 in
+  let f _ ~ids:_ ~len = matched := !matched + len in
+  let run () = Flat.match_batch flat cur events ~f in
+  run ();
+  Alcotest.(check (float 0.0)) "minor words over a 1024-event batch" 0.0
+    (minor_words_of run);
+  Alcotest.(check bool) "events matched something" true (!matched > 0)
 
 let () =
   Alcotest.run "flat"
@@ -507,11 +487,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_flat_equals_baselines;
           QCheck_alcotest.to_alcotest prop_recorded_equals_plain;
           QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
-          QCheck_alcotest.to_alcotest prop_pool_equals_one_domain;
           QCheck_alcotest.to_alcotest prop_engine_batch_equals_match_event;
           QCheck_alcotest.to_alcotest prop_engine_aggregated_equals_plain;
           QCheck_alcotest.to_alcotest prop_relayout_equals_default;
-          QCheck_alcotest.to_alcotest prop_packed_equals_match_into;
           QCheck_alcotest.to_alcotest prop_engine_relayout_now;
         ] );
       ( "edges",
@@ -525,7 +503,13 @@ let () =
           Alcotest.test_case "recorder reset and guards" `Quick
             test_recorder_reset_and_guards;
           Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved;
-          Alcotest.test_case "packed and relayout guards" `Quick
-            test_packed_guards;
+          Alcotest.test_case "relayout guards" `Quick test_relayout_guards;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "match_into allocates 0 words/event" `Quick
+            test_match_into_allocates_nothing;
+          Alcotest.test_case "match_batch allocates 0 words/event" `Quick
+            test_match_batch_allocates_nothing;
         ] );
     ]

@@ -9,6 +9,8 @@ module Event = Genas_model.Event
 module Lang = Genas_profile.Lang
 module Profile = Genas_profile.Profile
 module Composite = Genas_ens.Composite
+module Codec = Genas_ens.Codec
+module Transport = Genas_ens.Transport
 module Gen = Genas_testlib.Gen
 
 let schema () =
@@ -132,6 +134,79 @@ let prop_composite_stream_invariants =
               (Composite.feed det e))
           timed)
 
+(* Wire decoding under hostile bytes: valid Publish and Deliver payloads,
+   mutated, must decode or raise [Codec.Corrupt] — never anything else
+   (an escaping exception crashes the receiving broker). A count
+   overwrite tries every offset of the payload, so each string length
+   and element count in it is hit. *)
+type mutation =
+  | Flips of (int * int) list  (* position seed, xor mask in 1..255 *)
+  | Overwrite of int  (* hostile 64-bit value, written at every offset *)
+
+let wire_message s =
+  QCheck.Gen.(
+    let origin = string_size ~gen:printable (int_range 0 12) in
+    let ctx = opt (pair nat nat) in
+    oneof
+      [
+        (let* token = nat
+         and* origin = origin
+         and* events = array_size (int_range 0 4) (Gen.event s)
+         and* ctx = ctx in
+         return (Transport.Publish { token; origin; events; ctx }));
+        (let* cursor = nat
+         and* idx = nat
+         and* replay = bool
+         and* origin = origin
+         and* event = Gen.event s
+         and* ctx = ctx in
+         return
+           (Transport.Deliver { cursor; idx; replay; origin; event; ctx }));
+      ])
+
+let mutation =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          list_size (int_range 1 5) (pair (int_bound 1_000_000) (int_range 1 255))
+          >|= fun fl -> Flips fl );
+        (1, oneofl [ max_int; 1 lsl 40; -1 ] >|= fun v -> Overwrite v);
+      ])
+
+let prop_decode_total_under_mutation =
+  QCheck.Test.make ~name:"decode_message is total on mutated payloads"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair (wire_message (schema ())) mutation))
+    (fun (msg, m) ->
+      let s = schema () in
+      let payload = Transport.encode_message msg in
+      let len = String.length payload in
+      let decodes bytes =
+        match Transport.decode_message s (Bytes.to_string bytes) with
+        | _ | (exception Codec.Corrupt _) -> true
+        | exception e ->
+          QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e)
+            (Bytes.to_string bytes)
+      in
+      match m with
+      | Flips fl ->
+        let b = Bytes.of_string payload in
+        List.iter
+          (fun (at, mask) ->
+            let i = at mod len in
+            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask))
+          fl;
+        decodes b
+      | Overwrite v ->
+        List.for_all
+          (fun at ->
+            let b = Bytes.of_string payload in
+            Bytes.set_int64_le b at (Int64.of_int v);
+            decodes b)
+          (List.init (max 0 (len - 7)) Fun.id))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -144,4 +219,7 @@ let () =
       ( "composite",
         List.map QCheck_alcotest.to_alcotest
           [ prop_composite_stream_invariants ] );
+      ( "wire",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_decode_total_under_mutation ] );
     ]

@@ -172,6 +172,31 @@ let with_frames_channel frames f =
       let ic = open_in_bin path in
       Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic))
 
+(* Element counts are untrusted like frame lengths: a hostile count
+   must surface as [Codec.Corrupt] before it sizes anything. *)
+let reader_with_count n rest =
+  let b = Buffer.create 16 in
+  Codec.w_int b n;
+  Buffer.add_string b rest;
+  Codec.reader (Buffer.contents b)
+
+let check_corrupt what f =
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Codec.Corrupt _ -> ()
+
+let test_hostile_string_length () =
+  (* [pos + n] overflows for n = max_int. *)
+  check_corrupt "string of max_int bytes" (fun () ->
+      Codec.r_string (reader_with_count max_int "abc"))
+
+let test_hostile_element_count () =
+  (* 2^40 elements would be sized before the first one is read. *)
+  check_corrupt "array of 2^40 ints" (fun () ->
+      Codec.r_array Codec.r_int (reader_with_count (1 lsl 40) "12345678"));
+  check_corrupt "list of 2^40 ints" (fun () ->
+      Codec.r_list Codec.r_int (reader_with_count (1 lsl 40) "12345678"))
+
 let test_read_frame_bounds () =
   let seed = 0x99 in
   (* Clean round trip through a channel. *)
@@ -726,6 +751,10 @@ let () =
           Alcotest.test_case "addresses" `Quick test_addr_parse;
           Alcotest.test_case "message roundtrip" `Quick test_message_roundtrip;
           Alcotest.test_case "frame bounds" `Quick test_read_frame_bounds;
+          Alcotest.test_case "hostile string length" `Quick
+            test_hostile_string_length;
+          Alcotest.test_case "hostile element count" `Quick
+            test_hostile_element_count;
         ] );
       ( "journal",
         [
