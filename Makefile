@@ -2,7 +2,8 @@
 # + the seconds-scale bench smoke).
 
 .PHONY: all build test check faultcheck recovercheck tracecheck scalecheck \
-  netcheck meshcheck obscheck bench bench-smoke bench-json clean
+  netcheck meshcheck obscheck bench bench-smoke bench-json repobench-smoke \
+  clean
 
 all: build
 
@@ -102,12 +103,28 @@ bench-smoke:
 	./_build/default/bin/genas_cli.exe bench --json --events 2000 \
 	  | ./_build/default/bin/genas_cli.exe jsoncheck
 
-# Full-budget run refreshing the committed perf-trajectory record,
-# scaling curve included (the 10^6 point and the 10^4 baseline take
-# minutes; see docs/SCALING.md).
+# Full-budget run writing a perf-trajectory record, scaling curve
+# included (the 10^6 point and the 10^4 baseline take minutes; see
+# docs/SCALING.md). OUT names the file:
+#   make bench-json OUT=bench.json
 bench-json:
+	@test -n "$(OUT)" || { echo "usage: make bench-json OUT=FILE.json" >&2; exit 2; }
 	dune exec bin/genas_cli.exe -- bench --json --events 200000 \
-	  --scaling 1000,2000,10000,100000,1000000 --out BENCH_PR10.json
+	  --scaling 1000,2000,10000,100000,1000000 --out $(OUT)
+
+# Repository benchmark smoke: run both gated workloads for 3 s each and
+# fail unless each result line reports "correct": true, so a library
+# change that breaks the benchmark's own output checks fails CI.
+repobench-smoke:
+	@for w in classic wire; do \
+	  line=$$(bash repobench/run.sh --workload $$w --seed 1 --seconds 3 \
+	    --trace 0 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  case "$$line" in \
+	    *'"correct": true'*) ;; \
+	    *) echo "repobench-smoke: $$w did not report correct" >&2; exit 1 ;; \
+	  esac; \
+	done
 
 clean:
 	dune clean

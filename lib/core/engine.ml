@@ -136,6 +136,8 @@ type t = {
      compiled tree, since node ids change shape. *)
   mutable recorder : Flat.recorder option;
   ops : Ops.t;
+  some_ops : Ops.t option;
+      (** [Some ops], built once: passing [?ops] allocates nothing *)
   instruments : instruments option;
   agg : agg option;
 }
@@ -224,6 +226,7 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
   in
   let stats, tree = plan ~bins ~old_stats:None planning_set spec in
   let flat = Flat.compile tree in
+  let ops = Ops.create () in
   let t =
     {
       pset;
@@ -234,7 +237,8 @@ let create ?(spec = Reorder.default_spec) ?(bins = 64) ?metrics
       flat;
       cursor = Flat.cursor flat;
       recorder = None;
-      ops = Ops.create ();
+      ops;
+      some_ops = Some ops;
       instruments = Option.map make_instruments metrics;
       agg;
     }
@@ -536,8 +540,8 @@ let remove_profile t id =
    the former Tree.match_event path. *)
 let match_flat t event =
   match t.recorder with
-  | None -> Flat.match_into ~ops:t.ops t.flat t.cursor event
-  | Some r -> Flat.match_into_recorded ~ops:t.ops t.flat t.cursor r event
+  | None -> Flat.match_into ?ops:t.some_ops t.flat t.cursor event
+  | Some r -> Flat.match_into_recorded ?ops:t.some_ops t.flat t.cursor r event
 
 let grow_scratch agg n =
   if Array.length agg.scratch < n then
@@ -625,10 +629,10 @@ let match_core t event =
     let c0 = t.ops.Ops.comparisons in
     let t0 = Genas_obs.Clock.now_ns () in
     let n = match_dispatch t event in
-    let dt = Int64.to_float (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
+    let dt = Int64.to_int (Int64.sub (Genas_obs.Clock.now_ns ()) t0) in
     let dc = t.ops.Ops.comparisons - c0 in
-    Metrics.Histogram.observe ins.match_ns (Float.max 0.0 dt);
-    Metrics.Histogram.observe ins.match_comparisons (float_of_int dc);
+    Metrics.Histogram.observe_int ins.match_ns (Stdlib.max 0 dt);
+    Metrics.Histogram.observe_int ins.match_comparisons dc;
     Metrics.Counter.incr ins.events_total;
     Metrics.Counter.add ins.comparisons_total dc;
     Metrics.Counter.add ins.matches_total n;
@@ -654,7 +658,7 @@ let match_batch t events =
     match (t.agg, t.recorder) with
     | None, None ->
       let out = Array.make (Array.length events) [||] in
-      Flat.match_batch ~ops:t.ops t.flat t.cursor events
+      Flat.match_batch ?ops:t.some_ops t.flat t.cursor events
         ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len);
       out
     | Some _, _ | None, Some _ ->

@@ -24,9 +24,10 @@ val create :
     latency and comparisons-per-event histograms, event/match/
     comparison/rebuild counters, and tree-size gauges (all names in
     docs/OBSERVABILITY.md). Without it ([?metrics:None], the default)
-    the match path performs no observability work at all — handles are
-    resolved once at construction and the hot loop stays
-    allocation-free.
+    the match path performs no observability work at all. With it,
+    handles are resolved once at construction and each match adds two
+    clock reads (3 minor words each, the boxed [int64]s) and
+    allocation-free instrument updates.
 
     [aggregate] (default [false]) turns on subscription aggregation:
     the registry is indexed by a {!Genas_profile.Lattice} and the flat
@@ -156,9 +157,11 @@ val match_with :
     receives the engine's borrowed cursor buffer whose first [len]
     slots hold the matched ids (ascending). The buffer is overwritten
     by the next match — copy inside [f] if the ids must outlive the
-    call. The match itself allocates nothing, but recording the event
-    in the statistics does (about 34 minor words per event on a
-    three-attribute schema, from {!Stats.observe_event}). *)
+    call. On int attributes nothing allocates, statistics recording
+    included: without a metrics registry this path costs 0 minor words
+    per event (pinned by [test/test_flat.ml] on the paper's table
+    workload). Other attribute kinds box an option or a coordinate per
+    attribute in the matcher's lookup and in {!Stats.observe_event}. *)
 
 val match_batch :
   t ->

@@ -18,7 +18,10 @@ let create ?(bins = 64) axis =
 
 let axis t = t.axis
 
-let bin_of t x =
+(* [bin_of] and [record] are inlined into both entry points, so
+   [add_int] bins its coordinate as an unboxed local float and
+   allocates nothing. *)
+let[@inline] bin_of t x =
   if t.exact then int_of_float (x -. t.axis.Axis.lo)
   else begin
     let lo = t.axis.Axis.lo and hi = t.axis.Axis.hi in
@@ -28,15 +31,20 @@ let bin_of t x =
       Stdlib.min (t.bins - 1) (int_of_float (f *. float_of_int t.bins))
   end
 
-let add t x =
+let[@inline] record t x =
   if
     x < t.axis.Axis.lo || x > t.axis.Axis.hi
     || (t.axis.Axis.discrete && Float.rem x 1.0 <> 0.0)
   then t.dropped <- t.dropped + 1
   else begin
-    t.counts.(bin_of t x) <- t.counts.(bin_of t x) +. 1.0;
+    let b = bin_of t x in
+    t.counts.(b) <- t.counts.(b) +. 1.0;
     t.total <- t.total + 1
   end
+
+let add t x = record t x
+
+let add_int t i = record t (float_of_int i)
 
 let count t = t.total
 

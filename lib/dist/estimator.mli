@@ -18,6 +18,10 @@ val add : t -> float -> unit
 (** Record one observed coordinate. Out-of-axis coordinates are
     ignored (counted in [dropped]). *)
 
+val add_int : t -> int -> unit
+(** [add_int t i] records exactly what [add t (float_of_int i)] does,
+    without allocating. *)
+
 val count : t -> int
 (** Number of recorded observations. *)
 

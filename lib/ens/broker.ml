@@ -286,37 +286,48 @@ let deliver_incr counter =
 (* Every handler invocation passes through the supervisor: a raising
    handler is retried/dead-lettered under the broker's policy, so it
    can neither starve later subscribers nor desynchronize the
-   published/notifications counters. Only accepted deliveries count. *)
-let deliver_prim t event id sent =
-  match Hashtbl.find_opt t.handlers id with
-  | None -> ()
-  | Some sub ->
+   published/notifications counters. Only accepted deliveries count:
+   each function returns how many it made. *)
+let deliver_prim t event id =
+  match Hashtbl.find t.handlers id with
+  | exception Not_found -> 0
+  | sub ->
     if
       Supervise.deliver t.super ?faults:t.faults
         ~subscriber:sub.p_subscriber ~handler:sub.p_handler
         (Notification.make ~event ~origin:(Notification.Primitive id)
            ~subscriber:sub.p_subscriber ())
     then begin
-      incr sent;
-      deliver_incr sub.p_delivered
+      deliver_incr sub.p_delivered;
+      1
     end
+    else 0
 
-let feed_composites t event sent =
-  Hashtbl.iter
-    (fun cid c ->
-      List.iter
-        (fun (_ : Composite.occurrence) ->
-          if
-            Supervise.deliver t.super ?faults:t.faults
-              ~subscriber:c.subscriber ~handler:c.handler
-              (Notification.make ~event ~origin:(Notification.Composite cid)
-                 ~subscriber:c.subscriber ())
-          then begin
-            incr sent;
-            deliver_incr c.c_delivered
-          end)
-        (Composite.feed c.detector event))
-    t.composites
+let rec deliver_prims t event sent = function
+  | [] -> sent
+  | id :: rest -> deliver_prims t event (sent + deliver_prim t event id) rest
+
+(* Without composites the fold's closures are never allocated. *)
+let feed_composites t event =
+  if Hashtbl.length t.composites = 0 then 0
+  else
+    Hashtbl.fold
+      (fun cid c sent ->
+        List.fold_left
+          (fun sent (_ : Composite.occurrence) ->
+            if
+              Supervise.deliver t.super ?faults:t.faults
+                ~subscriber:c.subscriber ~handler:c.handler
+                (Notification.make ~event ~origin:(Notification.Composite cid)
+                   ~subscriber:c.subscriber ())
+            then begin
+              deliver_incr c.c_delivered;
+              sent + 1
+            end
+            else sent)
+          sent
+          (Composite.feed c.detector event))
+      t.composites 0
 
 (* A publish record carries the dead letters it caused: the journaled
    op must be self-contained, because replay cannot re-run the
@@ -378,37 +389,36 @@ let with_publish_trace t ~name f =
         (Trace.record_crash tr ~reason:("crashed: " ^ Fault.crash_point_name p));
       raise exn)
 
+let match_one t event =
+  match t.adaptive with
+  | Some a -> Adaptive.match_event a event
+  | None -> Engine.match_event t.engine event
+
 let publish_core t event =
   let total_before = Deadletter.total (Supervise.deadletter t.super) in
   t.published <- t.published + 1;
-  let do_match () =
-    match t.adaptive with
-    | Some a -> Adaptive.match_event a event
-    | None -> Engine.match_event t.engine event
-  in
   let matched =
     (* Only pay for the span (and its allocated attrs) when this
        publish was actually sampled into an open trace. *)
     match t.tracer with
     | Some tr when Trace.active tr ->
       Trace.with_span tr ~name:"engine.match" (fun () ->
-          let matched = do_match () in
+          let matched = match_one t event in
           Trace.add_attr tr "matched" (string_of_int (List.length matched));
           attach_match_path t matched;
           matched)
-    | Some _ | None -> do_match ()
+    | Some _ | None -> match_one t event
   in
-  let sent = ref 0 in
-  List.iter (fun id -> deliver_prim t event id sent) matched;
-  feed_composites t event sent;
-  t.notifications <- t.notifications + !sent;
+  let prims = deliver_prims t event 0 matched in
+  let sent = prims + feed_composites t event in
+  t.notifications <- t.notifications + sent;
   (match t.instruments with
   | None -> ()
   | Some ins ->
     Metrics.Counter.incr ins.published_total;
-    Metrics.Counter.add ins.notifications_total !sent);
+    Metrics.Counter.add ins.notifications_total sent);
   journal_publish t ~events:[| event |] ~batch:false ~total_before;
-  !sent
+  sent
 
 let publish t event =
   with_publish_trace t ~name:"broker.publish" (fun () -> publish_core t event)
@@ -437,8 +447,8 @@ let publish_batch_core t events =
   Array.iteri
     (fun i matched ->
       let event = events.(i) in
-      Array.iter (fun id -> deliver_prim t event id sent) matched;
-      feed_composites t event sent)
+      Array.iter (fun id -> sent := !sent + deliver_prim t event id) matched;
+      sent := !sent + feed_composites t event)
     results;
   t.notifications <- t.notifications + !sent;
   (match t.instruments with

@@ -163,10 +163,11 @@ let circuit t subscriber =
   | None -> Closed
   | Some c -> c.state
 
+(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
 let circuit_of t subscriber =
-  match Hashtbl.find_opt t.circuits subscriber with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.circuits subscriber with
+  | c -> c
+  | exception Not_found ->
     let c = { state = Closed; count = 0 } in
     Hashtbl.replace t.circuits subscriber c;
     c
@@ -188,15 +189,13 @@ let close t c =
   c.state <- Closed;
   c.count <- 0
 
+(* Only eventful deliveries (a retry, a failure, a short-circuit) are
+   traced; no record is built for a clean first attempt. *)
 let record_trace t r =
-  (* Only eventful deliveries (a retry, a failure, a short-circuit) are
-     traced; clean first-attempt deliveries stay allocation-light. *)
-  if r.attempts > 1 || r.outcome <> Delivered then begin
-    if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
-    else begin
-      t.trace <- r :: t.trace;
-      t.trace_len <- t.trace_len + 1
-    end
+  if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
+  else begin
+    t.trace <- r :: t.trace;
+    t.trace_len <- t.trace_len + 1
   end
 
 let dead_letter t notification ~attempts ~error ~seq =
@@ -229,100 +228,97 @@ let backoff_for t ~attempt =
   with_ins t (fun ins -> Metrics.Histogram.observe ins.backoff_ns_hist b);
   b
 
-let deliver t ?faults ~subscriber ~handler notification =
-  let seq = t.deliveries in
-  t.deliveries <- seq + 1;
-  (* One span per supervised delivery, one per attempt; a terminal
-     failure dumps the flight recorder for the post-mortem. *)
-  let dspan =
-    match t.tracer with
-    | Some tr when Trace.active tr ->
-      let s = Trace.start_span tr ~name:"deliver" in
-      Trace.add_attr tr "subscriber" subscriber;
-      s
-    | Some _ | None -> None
-  in
-  let finish_deliver ?error () =
-    match t.tracer with
-    | None -> ()
-    | Some tr -> Trace.finish_span tr ?error dspan
-  in
-  let finish_short_circuit c =
-    c.count <- c.count + 1;
-    t.short_circuited <- t.short_circuited + 1;
-    with_ins t (fun ins -> Metrics.Counter.incr ins.short_circuited_total);
-    dead_letter t notification ~attempts:0 ~error:"circuit open" ~seq;
-    record_trace t
-      { seq; subscriber; attempts = 0; backoffs_ns = []; outcome = Short_circuited;
-        error = Some "circuit open" };
-    finish_deliver ~error:"circuit open" ();
-    false
-  in
-  let attempt_raw () =
-    (* A planned fault replaces the real handler invocation: the
-       subscriber is simulated as raising. Retries re-draw. *)
-    match faults with
-    | Some plan when Fault.handler_raises plan ~subscriber ->
-      Error (Fault.Injected subscriber)
-    | Some _ | None -> (
-      match handler notification with
-      | () -> Ok ()
-      | exception exn -> Error exn)
-  in
-  let attempt_once () =
-    match t.tracer with
-    | Some tr when Trace.active tr ->
-      let s = Trace.start_span tr ~name:"deliver.attempt" in
-      let r = attempt_raw () in
-      (match r with
-      | Ok () -> Trace.finish_span tr s
-      | Error exn -> Trace.finish_span tr ~error:(error_string exn) s);
-      r
-    | Some _ | None -> attempt_raw ()
-  in
-  let run_attempts ~max_attempts =
-    let backoffs = ref [] in
-    let rec go attempt =
-      match attempt_once () with
-      | Ok () -> (attempt, List.rev !backoffs, None)
-      | Error exn ->
-        t.failures <- t.failures + 1;
-        with_ins t (fun ins -> Metrics.Counter.incr ins.failures_total);
-        if attempt >= max_attempts then (attempt, List.rev !backoffs, Some exn)
-        else begin
-          backoffs := backoff_for t ~attempt :: !backoffs;
-          t.retries <- t.retries + 1;
-          with_ins t (fun ins -> Metrics.Counter.incr ins.retries_total);
-          go (attempt + 1)
-        end
-    in
-    go 1
-  in
-  let supervised ~probe c =
-    let max_attempts = if probe then 1 else t.policy.max_attempts in
-    let attempts, backoffs_ns, err = run_attempts ~max_attempts in
-    match err with
-    | None ->
-      close t c;
-      t.delivered <- t.delivered + 1;
+(* The circuit a breaker-off supervisor hands around. Every circuit
+   update below is guarded by [trip_after > 0] (a probe implies it),
+   so this record is never written. *)
+let no_breaker = { state = Closed; count = 0 }
+
+let deliver_span t subscriber =
+  match t.tracer with
+  | Some tr when Trace.active tr ->
+    let s = Trace.start_span tr ~name:"deliver" in
+    Trace.add_attr tr "subscriber" subscriber;
+    s
+  | Some _ | None -> None
+
+let finish_deliver t ?error dspan =
+  match t.tracer with None -> () | Some tr -> Trace.finish_span tr ?error dspan
+
+let short_circuit t ~seq ~subscriber ~dspan c notification =
+  c.count <- c.count + 1;
+  t.short_circuited <- t.short_circuited + 1;
+  with_ins t (fun ins -> Metrics.Counter.incr ins.short_circuited_total);
+  dead_letter t notification ~attempts:0 ~error:"circuit open" ~seq;
+  record_trace t
+    { seq; subscriber; attempts = 0; backoffs_ns = []; outcome = Short_circuited;
+      error = Some "circuit open" };
+  finish_deliver t ~error:"circuit open" dspan;
+  false
+
+(* One attempt: a planned fault replaces the real handler invocation
+   (the subscriber is simulated as raising). With no plan and no active
+   trace this is a plain handler call, and [Ok ()] is a constant, so a
+   clean attempt allocates nothing. *)
+let attempt_raw ?faults ~subscriber ~handler notification =
+  match faults with
+  | Some plan when Fault.handler_raises plan ~subscriber ->
+    Error (Fault.Injected subscriber)
+  | Some _ | None -> (
+    match handler notification with () -> Ok () | exception exn -> Error exn)
+
+let attempt_once t ?faults ~subscriber ~handler notification =
+  match t.tracer with
+  | Some tr when Trace.active tr ->
+    let s = Trace.start_span tr ~name:"deliver.attempt" in
+    let r = attempt_raw ?faults ~subscriber ~handler notification in
+    (match r with
+    | Ok () -> Trace.finish_span tr s
+    | Error exn -> Trace.finish_span tr ~error:(error_string exn) s);
+    r
+  | Some _ | None -> attempt_raw ?faults ~subscriber ~handler notification
+
+(* Attempt [attempt] of a delivery and, after a raise, the rest of it.
+   A clean first attempt runs straight through: with no fault plan and
+   no active trace it is one handler call and a few field updates, with
+   nothing allocated ([backoffs] is still [[]]). A raise enters the
+   retry loop under the policy (one attempt for a probe); the settled
+   delivery then updates the circuit, the trace record and the
+   dead-letter queue. *)
+let rec attempt_from t ?faults ~seq ~subscriber ~handler ~dspan ~probe c
+    notification ~attempt ~backoffs =
+  match attempt_once t ?faults ~subscriber ~handler notification with
+  | Ok () ->
+    if t.policy.trip_after > 0 then close t c;
+    t.delivered <- t.delivered + 1;
+    if attempt > 1 then
       record_trace t
-        { seq; subscriber; attempts; backoffs_ns; outcome = Delivered;
-          error = None };
-      finish_deliver ();
-      true
-    | Some exn ->
+        { seq; subscriber; attempts = attempt; backoffs_ns = List.rev backoffs;
+          outcome = Delivered; error = None };
+    finish_deliver t dspan;
+    true
+  | Error exn ->
+    t.failures <- t.failures + 1;
+    with_ins t (fun ins -> Metrics.Counter.incr ins.failures_total);
+    let max_attempts = if probe then 1 else t.policy.max_attempts in
+    if attempt < max_attempts then begin
+      let b = backoff_for t ~attempt in
+      t.retries <- t.retries + 1;
+      with_ins t (fun ins -> Metrics.Counter.incr ins.retries_total);
+      attempt_from t ?faults ~seq ~subscriber ~handler ~dspan ~probe c
+        notification ~attempt:(attempt + 1) ~backoffs:(b :: backoffs)
+    end
+    else begin
       let error = error_string exn in
-      dead_letter t notification ~attempts ~error ~seq;
+      dead_letter t notification ~attempts:attempt ~error ~seq;
       if probe then trip t c
-      else begin
+      else if t.policy.trip_after > 0 then begin
         c.count <- c.count + 1;
-        if t.policy.trip_after > 0 && c.count >= t.policy.trip_after then
-          trip t c
+        if c.count >= t.policy.trip_after then trip t c
       end;
       record_trace t
-        { seq; subscriber; attempts; backoffs_ns; outcome = Failed;
-          error = Some error };
-      finish_deliver ~error ();
+        { seq; subscriber; attempts = attempt; backoffs_ns = List.rev backoffs;
+          outcome = Failed; error = Some error };
+      finish_deliver t ~error dspan;
       (match t.tracer with
       | None -> ()
       | Some tr ->
@@ -332,24 +328,33 @@ let deliver t ?faults ~subscriber ~handler notification =
                (Printf.sprintf "terminal delivery failure: %s (%s)" subscriber
                   error)));
       false
+    end
+
+(* [deliveries] advances before the handler runs, so a re-entrant
+   publish sees its own delivery counted. *)
+let deliver t ?faults ~subscriber ~handler notification =
+  let seq = t.deliveries in
+  t.deliveries <- seq + 1;
+  (* One span per supervised delivery, one per attempt; a terminal
+     failure dumps the flight recorder for the post-mortem. *)
+  let dspan = deliver_span t subscriber in
+  let c =
+    if t.policy.trip_after = 0 then no_breaker else circuit_of t subscriber
   in
-  if t.policy.trip_after = 0 then
-    (* Breaker disabled: no circuit bookkeeping at all. *)
-    supervised ~probe:false { state = Closed; count = 0 }
-  else begin
-    let c = circuit_of t subscriber in
-    match c.state with
-    | Closed -> supervised ~probe:false c
-    | Half_open -> supervised ~probe:true c
-    | Open ->
-      if c.count + 1 >= t.policy.cooldown then begin
-        set_open_count t (-1);
-        c.state <- Half_open;
-        c.count <- 0;
-        supervised ~probe:true c
-      end
-      else finish_short_circuit c
-  end
+  match c.state with
+  | Closed ->
+    attempt_from t ?faults ~seq ~subscriber ~handler ~dspan ~probe:false c
+      notification ~attempt:1 ~backoffs:[]
+  | Half_open ->
+    attempt_from t ?faults ~seq ~subscriber ~handler ~dspan ~probe:true c
+      notification ~attempt:1 ~backoffs:[]
+  | Open when c.count + 1 >= t.policy.cooldown ->
+    set_open_count t (-1);
+    c.state <- Half_open;
+    c.count <- 0;
+    attempt_from t ?faults ~seq ~subscriber ~handler ~dspan ~probe:true c
+      notification ~attempt:1 ~backoffs:[]
+  | Open -> short_circuit t ~seq ~subscriber ~dspan c notification
 
 let deliveries t = t.deliveries
 

@@ -2,7 +2,9 @@
    thread, client tickers, and other domains all share one registry.
    Counters and gauges are single atomics (a CAS loop keeps the
    max_int saturation exact under contention); histograms update five
-   fields per observation, so each carries its own mutex. *)
+   fields per observation, so each carries its own mutex. Neither
+   update allocates: the CAS loop is a top-level function, and a
+   histogram keeps its float fields in a flat float array. *)
 
 type counter = { c_value : int Atomic.t }
 
@@ -12,11 +14,15 @@ type histogram = {
   bounds : float array;  (** finite upper bounds, strictly increasing *)
   counts : int array;  (** per-bucket; [counts.(length bounds)] = overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  h_stats : float array;  (** sum, min, max at [h_sum], [h_min], [h_max] *)
   h_mu : Mutex.t;
 }
+
+let h_sum = 0
+
+let h_min = 1
+
+let h_max = 2
 
 type instrument =
   | Counter_i of counter
@@ -113,9 +119,7 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
         bounds = Array.copy buckets;
         counts = Array.make (Array.length buckets + 1) 0;
         h_count = 0;
-        h_sum = 0.0;
-        h_min = Float.infinity;
-        h_max = Float.neg_infinity;
+        h_stats = [| 0.0; Float.infinity; Float.neg_infinity |];
         h_mu = Mutex.create ();
       }
   in
@@ -125,15 +129,15 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
     invalid_arg
       (Printf.sprintf "Metrics: %S is already a %s" name (kind_name other))
 
+let rec counter_add c n =
+  let cur = Atomic.get c.c_value in
+  let next = if max_int - cur < n then max_int else cur + n in
+  if not (Atomic.compare_and_set c.c_value cur next) then counter_add c n
+
 module Counter = struct
   let add c n =
     if n < 0 then invalid_arg "Metrics.Counter.add: negative amount";
-    let rec go () =
-      let cur = Atomic.get c.c_value in
-      let next = if max_int - cur < n then max_int else cur + n in
-      if not (Atomic.compare_and_set c.c_value cur next) then go ()
-    in
-    go ()
+    counter_add c n
 
   let incr c = add c 1
 
@@ -164,9 +168,9 @@ let hsnap h =
     s_bounds = h.bounds;
     s_counts = Array.copy h.counts;
     s_count = h.h_count;
-    s_sum = h.h_sum;
-    s_min = h.h_min;
-    s_max = h.h_max;
+    s_sum = h.h_stats.(h_sum);
+    s_min = h.h_stats.(h_min);
+    s_max = h.h_stats.(h_max);
   }
 
 let percentile_of s q =
@@ -198,7 +202,7 @@ let percentile_of s q =
   end
 
 module Histogram = struct
-  let bucket_index h v =
+  let[@inline] bucket_index h v =
     (* First bucket with v <= bound; binary search over the bounds. *)
     let n = Array.length h.bounds in
     let lo = ref 0 and hi = ref n in
@@ -208,14 +212,23 @@ module Histogram = struct
     done;
     !lo
 
-  let observe h v =
+  (* Nothing between lock and unlock can raise, so no closure is
+     needed to release the mutex on an exception. Inlined into both
+     entry points, so [observe_int] never boxes its float. *)
+  let[@inline] record h v =
     let i = bucket_index h v in
-    Mutex.protect h.h_mu @@ fun () ->
+    let st = h.h_stats in
+    Mutex.lock h.h_mu;
     h.counts.(i) <- h.counts.(i) + 1;
     h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v
+    st.(h_sum) <- st.(h_sum) +. v;
+    if v < st.(h_min) then st.(h_min) <- v;
+    if v > st.(h_max) then st.(h_max) <- v;
+    Mutex.unlock h.h_mu
+
+  let observe h v = record h v
+
+  let observe_int h n = record h (float_of_int n)
 
   let count h = (hsnap h).s_count
 

@@ -7,10 +7,13 @@
     a different instrument kind raises.
 
     Hot-path cost: an instrument handle is resolved once at component
-    construction; [Counter.incr] is one atomic CAS, [Histogram.observe]
-    a short mutex-guarded update. Components take the registry as an
+    construction; [Counter.incr] is one atomic CAS and
+    [Histogram.observe] a short mutex-guarded update, and neither
+    allocates. A float passed to [observe] is boxed by the caller
+    unless it already lives in the heap; [observe_int] takes an int
+    and so allocates nothing. Components take the registry as an
     optional argument — with [?metrics:None] they must not touch this
-    module at all, keeping the uninstrumented path allocation-free.
+    module at all.
 
     Thread safety: every operation is safe under concurrent use from
     threads and domains. Counters update by compare-and-swap (the
@@ -89,6 +92,10 @@ end
 
 module Histogram : sig
   val observe : histogram -> float -> unit
+
+  val observe_int : histogram -> int -> unit
+  (** [observe_int h n] is [observe h (float_of_int n)], without boxing
+      the float. *)
 
   val count : histogram -> int
 

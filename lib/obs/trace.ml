@@ -121,7 +121,7 @@ let create ?(sample = 1.0) ?(capacity = 16) ?metrics ?on_dump ?clock ~seed () =
 
 let with_mu t f = Mutex.protect t.mu f
 
-let active t = t.current <> None
+let active t = match t.current with None -> false | Some _ -> true
 
 let sample_rate t = t.sample
 
@@ -229,7 +229,9 @@ let finish_span_locked t ?error = function
       observe_span t span
     end
 
-let finish_span t ?error s = with_mu t (fun () -> finish_span_locked t ?error s)
+let finish_span t ?error = function
+  | None -> ()
+  | Some _ as s -> with_mu t (fun () -> finish_span_locked t ?error s)
 
 let add_attr t k v =
   with_mu t (fun () ->
@@ -306,35 +308,42 @@ let run_root t root tr f =
         complete_trace_locked t tr);
     raise exn
 
+(* Locks explicitly rather than through [with_mu] so that the nest and
+   unsampled paths allocate nothing. *)
 let with_trace t ~name f =
-  let action =
-    with_mu t (fun () ->
-        if t.current <> None then
-          (* A trace is already open (e.g. a broker publish inside a
-             routed hop): nest instead of starting a second root. *)
-          `Nest
-        else if not (sample_decision t) then `Skip
-        else begin
-          t.sampled <- t.sampled + 1;
-          let tr =
-            {
-              trace_id = t.next_trace_id;
-              root_name = name;
-              spans = [];
-              span_count = 0;
-              path = None;
-              remote = None;
-            }
-          in
-          t.next_trace_id <- t.next_trace_id + 1;
-          t.current <- Some tr;
-          `Root (start_span_locked t ~name, tr)
-        end)
-  in
-  match action with
-  | `Nest -> with_span t ~name f
-  | `Skip -> f ()
-  | `Root (root, tr) -> run_root t root tr f
+  Mutex.lock t.mu;
+  if active t then begin
+    (* A trace is already open (e.g. a broker publish inside a routed
+       hop): nest instead of starting a second root. *)
+    Mutex.unlock t.mu;
+    with_span t ~name f
+  end
+  else if not (sample_decision t) then begin
+    Mutex.unlock t.mu;
+    f ()
+  end
+  else begin
+    t.sampled <- t.sampled + 1;
+    let tr =
+      {
+        trace_id = t.next_trace_id;
+        root_name = name;
+        spans = [];
+        span_count = 0;
+        path = None;
+        remote = None;
+      }
+    in
+    t.next_trace_id <- t.next_trace_id + 1;
+    t.current <- Some tr;
+    match start_span_locked t ~name with
+    | root ->
+      Mutex.unlock t.mu;
+      run_root t root tr f
+    | exception exn ->
+      Mutex.unlock t.mu;
+      raise exn
+  end
 
 let with_remote_trace t ~name ~origin ctx f =
   match ctx with

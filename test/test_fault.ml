@@ -116,6 +116,150 @@ let test_backoff_determinism () =
   in
   Alcotest.(check bool) "identical backoff schedule" true (run () = run ())
 
+(* A fixed delivery script: every supervisor outcome, printed with
+   backoffs in hex so the comparison is bit-exact. *)
+let delivery_script policy =
+  let s = schema () in
+  let sup = Supervise.create ~policy ~prefix:"t" () in
+  let flaky () =
+    let calls = ref 0 in
+    fun _ ->
+      incr calls;
+      if !calls = 1 then failwith "first attempt"
+  in
+  let deliver subscriber handler =
+    ignore (Supervise.deliver sup ~subscriber ~handler (notification s))
+  in
+  deliver "clean" ignore;
+  deliver "flaky" (flaky ());
+  deliver "dead" (fun _ -> failwith "always");
+  deliver "clean" ignore;
+  deliver "flaky2" (flaky ());
+  for _ = 1 to 4 do
+    deliver "dead" (fun _ -> failwith "always")
+  done;
+  deliver "flaky3" (flaky ());
+  let b = Buffer.create 512 in
+  List.iter
+    (fun r ->
+      Printf.bprintf b "#%d %s %d [%s] %s %s\n" r.Supervise.seq
+        r.Supervise.subscriber r.Supervise.attempts
+        (String.concat ";" (List.map (Printf.sprintf "%h") r.Supervise.backoffs_ns))
+        (Format.asprintf "%a" Supervise.pp_outcome r.Supervise.outcome)
+        (Option.value ~default:"-" r.Supervise.error))
+    (Supervise.trace sup);
+  let e = Supervise.export sup in
+  Printf.bprintf b "deliveries=%d delivered=%d failures=%d retries=%d \
+                    deadlettered=%d short=%d trips=%d draws=%d\n"
+    e.Supervise.Export.deliveries e.Supervise.Export.delivered
+    e.Supervise.Export.failures e.Supervise.Export.retries
+    e.Supervise.Export.deadlettered e.Supervise.Export.short_circuited
+    e.Supervise.Export.trips e.Supervise.Export.jitter_draws;
+  List.iter
+    (fun (name, state, count) ->
+      Printf.bprintf b "circuit %s %s %d\n" name
+        (match state with
+        | Supervise.Closed -> "closed"
+        | Supervise.Open -> "open"
+        | Supervise.Half_open -> "half-open")
+        count)
+    e.Supervise.Export.circuits;
+  List.iter
+    (fun (d : Deadletter.entry) ->
+      Printf.bprintf b "dlq #%d %d %s\n" d.Deadletter.seq d.Deadletter.attempts
+        d.Deadletter.error)
+    (Deadletter.entries (Supervise.deadletter sup));
+  Buffer.contents b
+
+(* Pinned from the supervisor before a clean first attempt became a
+   straight-line path: retries, backoffs, jitter draws, circuits and
+   dead letters must come out bit-identical, breaker off and on. *)
+let test_delivery_golden () =
+  Alcotest.(check string) "breaker off"
+    {|#1 flaky 2 [0x1.decbf43eae2a2p+19] delivered -
+#2 dead 3 [0x1.9707ee429a719p+19;0x1.8f3f624c466ffp+20] failed Failure("always")
+#4 flaky2 2 [0x1.7caf663ebd79bp+19] delivered -
+#5 dead 3 [0x1.dce2fb5c5ae66p+19;0x1.8df354a36ba53p+20] failed Failure("always")
+#6 dead 3 [0x1.c0c6758b3cd89p+19;0x1.d69a31dbad232p+20] failed Failure("always")
+#7 dead 3 [0x1.17c65f69d9772p+19;0x1.ac6063f289a72p+20] failed Failure("always")
+#8 dead 3 [0x1.93bd5e8067a01p+19;0x1.87dc48fd1fd75p+20] failed Failure("always")
+#9 flaky3 2 [0x1.c733ed6d4e588p+19] delivered -
+deliveries=10 delivered=5 failures=18 retries=13 deadlettered=5 short=0 trips=0 draws=13
+dlq #2 3 Failure("always")
+dlq #5 3 Failure("always")
+dlq #6 3 Failure("always")
+dlq #7 3 Failure("always")
+dlq #8 3 Failure("always")
+|}
+    (delivery_script (Supervise.retry_policy ~max_attempts:3 ()));
+  Alcotest.(check string) "breaker on"
+    {|#1 flaky 2 [0x1.decbf43eae2a2p+19] delivered -
+#2 dead 3 [0x1.9707ee429a719p+19;0x1.8f3f624c466ffp+20] failed Failure("always")
+#4 flaky2 2 [0x1.7caf663ebd79bp+19] delivered -
+#5 dead 0 [] short-circuited circuit open
+#6 dead 1 [] failed Failure("always")
+#7 dead 0 [] short-circuited circuit open
+#8 dead 1 [] failed Failure("always")
+#9 flaky3 2 [0x1.dce2fb5c5ae66p+19] delivered -
+deliveries=10 delivered=5 failures=8 retries=5 deadlettered=5 short=2 trips=3 draws=5
+circuit clean closed 0
+circuit dead open 0
+circuit flaky closed 0
+circuit flaky2 closed 0
+circuit flaky3 closed 0
+dlq #2 3 Failure("always")
+dlq #5 0 circuit open
+dlq #6 1 Failure("always")
+dlq #7 0 circuit open
+dlq #8 1 Failure("always")
+|}
+    (delivery_script
+       (Supervise.retry_policy ~max_attempts:3 ~trip_after:1 ~cooldown:2 ()))
+
+(* A handler that publishes again sees its own delivery already
+   counted, and so does the nested delivery. *)
+let test_reentrant_deliveries () =
+  let s = schema () in
+  let b = Broker.create s in
+  let seen = ref [] in
+  let count _ = seen := Supervise.deliveries (Broker.supervisor b) :: !seen in
+  let eq x =
+    Profile.create_exn s [ ("x", Predicate.Eq (Value.Int x)) ]
+  in
+  ignore (Broker.subscribe b ~subscriber:"inner" ~profile:(eq 2) count);
+  ignore
+    (Broker.subscribe b ~subscriber:"outer" ~profile:(eq 1) (fun n ->
+         count n;
+         ignore (Broker.publish b (event s 2 "a"));
+         count n));
+  ignore (Broker.publish b (event s 1 "a"));
+  Alcotest.(check (list int)) "deliveries seen (outer, inner, outer)"
+    [ 1; 2; 2 ] (List.rev !seen)
+
+(* Allocation contract: a clean delivery (no fault plan, no active
+   trace, breaker off or circuit closed) with a handler that allocates
+   nothing leaves nothing on the minor heap. *)
+let clean_delivery_words policy =
+  let s = schema () in
+  let sup = Supervise.create ~policy ~prefix:"t" () in
+  let n = notification s in
+  let handler (_ : Notification.t) = () in
+  let run () =
+    for _ = 1 to 1000 do
+      ignore (Supervise.deliver sup ~subscriber:"s" ~handler n)
+    done
+  in
+  run ();
+  let words = Genas_testlib.Alloc.minor_words run in
+  Alcotest.(check int) "all delivered" 2000 (Supervise.delivered sup);
+  words
+
+let test_clean_delivery_allocates_nothing () =
+  Alcotest.(check (float 0.0)) "breaker off: minor words over 1000" 0.0
+    (clean_delivery_words Supervise.default_policy);
+  Alcotest.(check (float 0.0)) "breaker on: minor words over 1000" 0.0
+    (clean_delivery_words (Supervise.retry_policy ~trip_after:2 ()))
+
 (* --- injected handler faults --------------------------------------- *)
 
 let test_injected_handler_fault () =
@@ -471,6 +615,9 @@ let () =
         [
           Alcotest.test_case "retry then succeed" `Quick test_retry_then_succeed;
           Alcotest.test_case "backoff determinism" `Quick test_backoff_determinism;
+          Alcotest.test_case "delivery golden" `Quick test_delivery_golden;
+          Alcotest.test_case "re-entrant publish counts its delivery" `Quick
+            test_reentrant_deliveries;
         ] );
       ( "injection",
         [
@@ -484,6 +631,11 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_circuit_breaker_lifecycle;
           Alcotest.test_case "half-open single probe" `Quick
             test_half_open_single_probe;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "clean delivery allocates 0 words" `Quick
+            test_clean_delivery_allocates_nothing;
         ] );
       ( "deadletter",
         [ Alcotest.test_case "bounds" `Quick test_deadletter_bounds ] );

@@ -448,10 +448,7 @@ let alloc_workload () =
   let stats = Stats.create (Decomp.build w.Table.pset) in
   (Flat.compile (Reorder.build stats Table.v1a2), w.Table.events)
 
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+let minor_words_of = Genas_testlib.Alloc.minor_words
 
 let test_match_into_allocates_nothing () =
   let flat, events = alloc_workload () in
@@ -475,6 +472,25 @@ let test_match_batch_allocates_nothing () =
   let run () = Flat.match_batch flat cur events ~f in
   run ();
   Alcotest.(check (float 0.0)) "minor words over a 1024-event batch" 0.0
+    (minor_words_of run);
+  Alcotest.(check bool) "events matched something" true (!matched > 0)
+
+(* The engine around the kernel: with no metrics registry, statistics
+   recording included, a match through [match_with] allocates nothing
+   on int attributes. *)
+let test_engine_match_with_allocates_nothing () =
+  let w = Table.create () in
+  let engine = Engine.create ~spec:Table.v1a2 w.Table.pset in
+  let events = w.Table.events in
+  let matched = ref 0 in
+  let f ~ids:_ ~len = matched := !matched + len in
+  let run () =
+    for i = 0 to Array.length events - 1 do
+      Engine.match_with engine (Array.unsafe_get events i) ~f
+    done
+  in
+  run ();
+  Alcotest.(check (float 0.0)) "minor words over 1024 events" 0.0
     (minor_words_of run);
   Alcotest.(check bool) "events matched something" true (!matched > 0)
 
@@ -511,5 +527,7 @@ let () =
             test_match_into_allocates_nothing;
           Alcotest.test_case "match_batch allocates 0 words/event" `Quick
             test_match_batch_allocates_nothing;
+          Alcotest.test_case "Engine.match_with allocates 0 words/event"
+            `Quick test_engine_match_with_allocates_nothing;
         ] );
     ]

@@ -337,6 +337,38 @@ let test_clock_monotonic () =
   let b = Clock.now_ns () in
   Alcotest.(check bool) "non-decreasing" true (Int64.compare b a >= 0)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation contracts: updating an instrument allocates nothing. *)
+
+let test_counter_allocates_nothing () =
+  let c = Metrics.counter (Metrics.create ()) "c_total" in
+  let run () =
+    for i = 1 to 1000 do
+      Metrics.Counter.incr c;
+      Metrics.Counter.add c i
+    done
+  in
+  run ();
+  Alcotest.(check (float 0.0)) "minor words over 2000 updates" 0.0
+    (Genas_testlib.Alloc.minor_words run);
+  Alcotest.(check int) "value" (2 * (1000 + 500500)) (Metrics.Counter.value c)
+
+let test_histogram_allocates_nothing () =
+  let h = Metrics.histogram (Metrics.create ()) "h_ns" in
+  let run () =
+    for i = 1 to 1000 do
+      Metrics.Histogram.observe h 250.0;
+      Metrics.Histogram.observe_int h i
+    done
+  in
+  run ();
+  Alcotest.(check (float 0.0)) "minor words over 2000 observations" 0.0
+    (Genas_testlib.Alloc.minor_words run);
+  Alcotest.(check int) "count" 4000 (Metrics.Histogram.count h);
+  Alcotest.(check (float 0.0)) "sum"
+    (2.0 *. ((1000.0 *. 250.0) +. 500500.0))
+    (Metrics.Histogram.sum h)
+
 let () =
   Alcotest.run "obs"
     [
@@ -369,6 +401,13 @@ let () =
           Alcotest.test_case "prometheus family once" `Quick
             test_prometheus_family_once;
           Alcotest.test_case "no nan token" `Quick test_no_nan_token;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "counter incr/add allocate 0 words" `Quick
+            test_counter_allocates_nothing;
+          Alcotest.test_case "histogram observe allocates 0 words" `Quick
+            test_histogram_allocates_nothing;
         ] );
       ( "parallel",
         [ Alcotest.test_case "2-domain hammer" `Quick test_parallel_hammer ] );

@@ -137,6 +137,74 @@ let test_reset () =
   Stats.reset_observations stats;
   Alcotest.(check int) "zeroed" 0 (Stats.events_seen stats)
 
+(* Allocation contract: recording an event on int attributes bins each
+   value in place and allocates nothing (the paper's table workload,
+   three int attributes). *)
+let test_observe_event_allocates_nothing () =
+  let w = Genas_testlib.Table.create () in
+  let stats = Stats.create (Decomp.build w.Genas_testlib.Table.pset) in
+  let events = w.Genas_testlib.Table.events in
+  let run () =
+    for i = 0 to Array.length events - 1 do
+      Stats.observe_event stats (Array.unsafe_get events i)
+    done
+  in
+  run ();
+  Alcotest.(check (float 0.0)) "minor words over 1024 events" 0.0
+    (Genas_testlib.Alloc.minor_words run);
+  Alcotest.(check int) "every event recorded" (2 * Array.length events)
+    (Stats.events_seen stats)
+
+(* [observe_event] bins in-domain ints and floats without going through
+   [Axis.coord]; it must still bin exactly as [observe_coords] does on
+   [Axis.coord]'s coordinates (off-domain as nan). Events of a wider
+   schema with the same kinds supply the off-domain values. *)
+let test_observe_event_agrees_with_axis_coord () =
+  let schema_of ~ilo ~ihi ~flo ~fhi =
+    Schema.create_exn
+      [
+        ("i", Domain.int_range ~lo:ilo ~hi:ihi);
+        ("f", Domain.float_range ~lo:flo ~hi:fhi);
+        ("g", Domain.float_range ~lo:flo ~hi:fhi);
+        ("e", Domain.enum [ "a"; "b"; "c" ]);
+        ("b", Domain.bool_dom);
+      ]
+  in
+  let schema = schema_of ~ilo:0 ~ihi:9 ~flo:(-1.5) ~fhi:2.5 in
+  let wide = schema_of ~ilo:(-5) ~ihi:20 ~flo:(-10.0) ~fhi:10.0 in
+  let decomp = Decomp.build (Profile_set.create schema) in
+  let fast = Stats.create decomp and reference = Stats.create decomp in
+  let ints = [ -5; -1; 0; 1; 4; 9; 10; 20 ] in
+  let floats = [ -10.0; -1.5000001; -1.5; 0.0; 0.25; 2.5; 2.5000001; 10.0 ] in
+  let int_floats = [ -10; -2; -1; 0; 2; 3; 10 ] in
+  let strs = [ "a"; "b"; "c" ] in
+  List.iteri
+    (fun k i ->
+      let vs =
+        [|
+          Value.Int i;
+          Value.Float (List.nth floats (k mod List.length floats));
+          Value.Int (List.nth int_floats (k mod List.length int_floats));
+          Value.Str (List.nth strs (k mod List.length strs));
+          Value.Bool (k mod 2 = 0);
+        |]
+      in
+      let e = Event.of_values_exn wide vs in
+      Stats.observe_event fast e;
+      Stats.observe_coords reference
+        (Array.mapi
+           (fun attr v ->
+             match Axis.coord (Schema.attribute schema attr).Schema.domain v with
+             | Some c -> c
+             | None -> Float.nan)
+           vs))
+    (ints @ List.rev ints);
+  Alcotest.(check bool) "off-domain values were dropped" true
+    ((Stats.export fast).Stats.Export.hists.(0).Genas_dist.Estimator.Export.dropped
+    > 0);
+  Alcotest.(check bool) "exports identical" true
+    (Stats.export fast = Stats.export reference)
+
 let () =
   Alcotest.run "stats"
     [
@@ -154,5 +222,12 @@ let () =
           Alcotest.test_case "override" `Quick test_profile_weight_override;
           Alcotest.test_case "priorities" `Quick test_priorities_weight_pp;
           Alcotest.test_case "D0 probability" `Quick test_d0_event_prob;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "observe_event allocates 0 words (int attributes)"
+            `Quick test_observe_event_allocates_nothing;
+          Alcotest.test_case "observe_event bins as Axis.coord" `Quick
+            test_observe_event_agrees_with_axis_coord;
         ] );
     ]
