@@ -133,14 +133,6 @@ let match_event t event =
   note_events t 1;
   result
 
-let match_batch t events =
-  let results = Engine.match_batch t.engine events in
-  (* The whole batch is observed before at most one drift check runs:
-     a check mid-batch would re-plan the tree under the feet of the
-     batch's own statistics, for no measurable gain. *)
-  note_events t (Array.length events);
-  results
-
 let rebuilds t = t.rebuilds
 
 let checks t = t.checks

@@ -44,14 +44,6 @@ val match_event :
     even when [warmup < check_every]; later checks run every
     [check_every] events. *)
 
-val match_batch :
-  t ->
-  Genas_model.Event.t array ->
-  Genas_profile.Profile_set.id array array
-(** {!Engine.match_batch}, then the adaptive bookkeeping advances by
-    the batch size with at most one drift check (after the whole batch
-    has been observed — never mid-batch). *)
-
 val rebuilds : t -> int
 (** Number of re-optimizations performed so far. *)
 
@@ -69,10 +61,11 @@ val force_check : t -> bool
 
 val note_events : t -> int -> unit
 (** Advance the warmup/check bookkeeping by [n] already-observed events
-    without matching anything. [match_event]/[match_batch] call this
-    internally; it is exposed so journal replay can drive the same
-    cadence — the replayed component checks (and rebuilds) at exactly
-    the event counts the original did. *)
+    without matching anything. [match_event] calls this with [1]; it
+    is exposed so journal replay can drive the same cadence — the
+    replayed component checks (and rebuilds) at exactly the event
+    counts the original did. A larger [n] is one tick: at most one
+    drift check, after all [n] events. *)
 
 (** {1 Serialization}
 

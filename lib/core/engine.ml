@@ -650,32 +650,6 @@ let match_with t event ~f =
   let n = match_core t event in
   f ~ids:(result_buffer t) ~len:n
 
-let match_batch t events =
-  refresh_if_stale t;
-  Array.iter (fun e -> Stats.observe_event t.stats e) events;
-  let c0 = t.ops.Ops.comparisons and m0 = t.ops.Ops.matches in
-  let results =
-    match (t.agg, t.recorder) with
-    | None, None ->
-      let out = Array.make (Array.length events) [||] in
-      Flat.match_batch ?ops:t.some_ops t.flat t.cursor events
-        ~f:(fun i ~ids ~len -> out.(i) <- Array.sub ids 0 len);
-      out
-    | Some _, _ | None, Some _ ->
-      Array.map
-        (fun e ->
-          let n = match_dispatch t e in
-          Array.sub (result_buffer t) 0 n)
-        events
-  in
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.events_total (Array.length events);
-    Metrics.Counter.add ins.comparisons_total (t.ops.Ops.comparisons - c0);
-    Metrics.Counter.add ins.matches_total (t.ops.Ops.matches - m0));
-  results
-
 let replay_observe t event =
   (* Journal replay: feed the statistics exactly as [match_core] would —
      including the history reset a stale profile set triggers — without

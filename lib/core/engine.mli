@@ -163,16 +163,6 @@ val match_with :
     workload). Other attribute kinds box an option or a coordinate per
     attribute in the matcher's lookup and in {!Stats.observe_event}. *)
 
-val match_batch :
-  t ->
-  Genas_model.Event.t array ->
-  Genas_profile.Profile_set.id array array
-(** Filter a batch on the calling domain: one ascending id array per
-    event, index-aligned. Statistics, operation counters, and metrics
-    advance exactly as if each event had gone through {!match_event},
-    except that per-event latency histograms are not observed on the
-    batch path. *)
-
 val rebuild : t -> unit
 (** Re-plan the tree configuration from the current statistics (and
     current profiles) under the engine's spec. *)
@@ -193,7 +183,7 @@ val report : t -> Cost.report
 
 (** {1 Hotness profiling}
 
-    When enabled, single-event and batch matching run through
+    When enabled, matching runs through
     {!Genas_filter.Flat.match_into_recorded}, accumulating per-node and
     per-level visit counters and keeping the last traversal path.
     Disabled (the default), matching dispatches the plain loop, which

@@ -37,9 +37,9 @@ let observe_coords t coords =
 (* Bin each attribute in place. An in-domain int goes through
    [Estimator.add_int] and an in-domain float is already boxed in its
    value, so neither allocates; every other value takes [Axis.coord]
-   and an off-domain one is binned as [nan]. The two fast arms mirror
-   [Axis.coord]'s first two; test_stats checks that both routes bin
-   alike. *)
+   and an off-domain one is passed as [nan], which the estimator
+   drops. The two fast arms mirror [Axis.coord]'s first two; test_stats
+   checks that both routes bin alike. *)
 let observe_event t event =
   let schema = t.decomp.Decomp.schema in
   for attr = 0 to Array.length t.hists - 1 do

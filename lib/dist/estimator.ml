@@ -31,9 +31,11 @@ let[@inline] bin_of t x =
       Stdlib.min (t.bins - 1) (int_of_float (f *. float_of_int t.bins))
   end
 
+(* Written as a negated in-range test so that [nan], for which every
+   comparison is false, is dropped too. *)
 let[@inline] record t x =
   if
-    x < t.axis.Axis.lo || x > t.axis.Axis.hi
+    (not (x >= t.axis.Axis.lo && x <= t.axis.Axis.hi))
     || (t.axis.Axis.discrete && Float.rem x 1.0 <> 0.0)
   then t.dropped <- t.dropped + 1
   else begin

@@ -15,8 +15,8 @@ val create : ?bins:int -> Genas_model.Axis.t -> t
 val axis : t -> Genas_model.Axis.t
 
 val add : t -> float -> unit
-(** Record one observed coordinate. Out-of-axis coordinates are
-    ignored (counted in [dropped]). *)
+(** Record one observed coordinate. Out-of-axis coordinates and [nan]
+    are ignored (counted in [dropped]). *)
 
 val add_int : t -> int -> unit
 (** [add_int t i] records exactly what [add t (float_of_int i)] does,

@@ -35,7 +35,6 @@ type instruments = {
   quench_invalidations_total : Metrics.counter;
   quench_rebuilds_total : Metrics.counter;
   quench_suppressed_total : Metrics.counter;
-  batch_size : Metrics.histogram;
 }
 
 let make_instruments registry =
@@ -56,11 +55,6 @@ let make_instruments registry =
     quench_suppressed_total =
       Metrics.counter registry "genas_broker_quench_suppressed_total"
         ~help:"Events suppressed by publish_quenched";
-    batch_size =
-      Metrics.histogram registry "genas_broker_batch_size"
-        ~help:"Events per publish_batch call"
-        ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.;
-                    4096.; 16384.; 65536. |];
   }
 
 let delivery_counter instruments subscriber =
@@ -91,16 +85,17 @@ type t = {
   instruments : instruments option;
 }
 
-let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
-    ?tracer ?aggregate ?delta_cap schema =
-  let pset = Profile_set.create schema in
+(* The one constructor behind [create] and [recover]: [recover] fills
+   [pset] from a snapshot first and attaches its journal after replay,
+   so replaying never re-journals. *)
+let make ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
+    ?tracer ?aggregate ?delta_cap schema pset =
   let engine = Engine.create ?spec ?metrics ?aggregate ?delta_cap pset in
   (* A traced broker profiles the matcher so every trace can carry the
      traversal path; untraced brokers keep the plain (recorder-free)
      match loop. *)
   (match tracer with
-  | Some tr when Genas_obs.Trace.sample_rate tr > 0.0 ->
-    Engine.set_profiling engine true
+  | Some tr when Trace.sample_rate tr > 0.0 -> Engine.set_profiling engine true
   | _ -> ());
   let adaptive =
     Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
@@ -124,6 +119,11 @@ let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
     tracer;
     instruments = Option.map make_instruments metrics;
   }
+
+let create ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
+    ?tracer ?aggregate ?delta_cap schema =
+  make ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?journal
+    ?tracer ?aggregate ?delta_cap schema (Profile_set.create schema)
 
 let schema t = t.schema
 
@@ -201,14 +201,19 @@ let journal_op t op =
 
 let wal t = t.journal
 
-let subscribe t ~subscriber ~profile handler =
-  let id = Engine.add_profile t.engine profile in
+(* Bind the handler of a primitive subscription whose profile is
+   already registered under [id]. *)
+let bind_prim t id ~subscriber handler =
   Hashtbl.replace t.handlers id
     {
       p_subscriber = subscriber;
       p_handler = handler;
       p_delivered = delivery_counter t.instruments subscriber;
-    };
+    }
+
+let subscribe t ~subscriber ~profile handler =
+  let id = Engine.add_profile t.engine profile in
+  bind_prim t id ~subscriber handler;
   invalidate_quench t;
   journal_op t (Journal.Subscribe { id; subscriber; profile });
   Prim_sub id
@@ -225,12 +230,10 @@ let rec prims_of_expr = function
     prims_of_expr a @ prims_of_expr b
   | Composite.Repeat (a, _, _) -> prims_of_expr a
 
-let subscribe_composite t ~subscriber expr handler =
+let add_composite t id ~subscriber expr handler =
   match Composite.compile t.schema expr with
   | Error e -> Error e
   | Ok detector ->
-    let id = t.next_comp in
-    t.next_comp <- id + 1;
     Hashtbl.replace t.composites id
       {
         subscriber;
@@ -240,6 +243,14 @@ let subscribe_composite t ~subscriber expr handler =
         handler;
         c_delivered = delivery_counter t.instruments subscriber;
       };
+    Ok ()
+
+let subscribe_composite t ~subscriber expr handler =
+  let id = t.next_comp in
+  match add_composite t id ~subscriber expr handler with
+  | Error e -> Error e
+  | Ok () ->
+    t.next_comp <- id + 1;
     invalidate_quench t;
     journal_op t (Journal.Subscribe_composite { id; subscriber; expr });
     Ok (Comp_sub id)
@@ -332,7 +343,7 @@ let feed_composites t event =
 (* A publish record carries the dead letters it caused: the journaled
    op must be self-contained, because replay cannot re-run the
    handlers that failed. *)
-let journal_publish t ~events ~batch ~total_before =
+let journal_publish t ~event ~total_before =
   match t.journal with
   | None -> ()
   | Some _ ->
@@ -346,8 +357,8 @@ let journal_publish t ~events ~batch ~total_before =
     journal_op t
       (Journal.Publish
          {
-           events;
-           batch;
+           events = [| event |];
+           batch = false;
            published = t.published;
            notifications = t.notifications;
            ops = Engine.ops t.engine;
@@ -377,13 +388,13 @@ let attach_match_path t matched =
             path_matched = Array.of_list matched;
           })
 
-(* Wrap a publish entry point in a root trace; an injected crash
-   escaping it dumps the flight recorder before propagating. *)
-let with_publish_trace t ~name f =
+(* Wrap a publish in a root trace; an injected crash escaping it dumps
+   the flight recorder before propagating. *)
+let with_publish_trace t f =
   match t.tracer with
   | None -> f ()
   | Some tr -> (
-    try Trace.with_trace tr ~name f
+    try Trace.with_trace tr ~name:"broker.publish" f
     with Fault.Crashed p as exn ->
       ignore
         (Trace.record_crash tr ~reason:("crashed: " ^ Fault.crash_point_name p));
@@ -417,52 +428,11 @@ let publish_core t event =
   | Some ins ->
     Metrics.Counter.incr ins.published_total;
     Metrics.Counter.add ins.notifications_total sent);
-  journal_publish t ~events:[| event |] ~batch:false ~total_before;
+  journal_publish t ~event ~total_before;
   sent
 
 let publish t event =
-  with_publish_trace t ~name:"broker.publish" (fun () -> publish_core t event)
-
-let publish_batch_core t events =
-  let total_before = Deadletter.total (Supervise.deadletter t.super) in
-  let n = Array.length events in
-  (* The whole batch is matched first, then delivered in batch order:
-     composite detection is stateful over the stream. *)
-  let do_match () =
-    match t.adaptive with
-    | Some a -> Adaptive.match_batch a events
-    | None -> Engine.match_batch t.engine events
-  in
-  let results =
-    match t.tracer with
-    | Some tr when Trace.active tr ->
-      Trace.with_span tr ~name:"engine.match_batch" (fun () ->
-          let results = do_match () in
-          Trace.add_attr tr "events" (string_of_int n);
-          results)
-    | Some _ | None -> do_match ()
-  in
-  t.published <- t.published + n;
-  let sent = ref 0 in
-  Array.iteri
-    (fun i matched ->
-      let event = events.(i) in
-      Array.iter (fun id -> sent := !sent + deliver_prim t event id) matched;
-      sent := !sent + feed_composites t event)
-    results;
-  t.notifications <- t.notifications + !sent;
-  (match t.instruments with
-  | None -> ()
-  | Some ins ->
-    Metrics.Counter.add ins.published_total n;
-    Metrics.Counter.add ins.notifications_total !sent;
-    Metrics.Histogram.observe ins.batch_size (float_of_int n));
-  journal_publish t ~events ~batch:true ~total_before;
-  !sent
-
-let publish_batch t events =
-  with_publish_trace t ~name:"broker.publish_batch" (fun () ->
-      publish_batch_core t events)
+  with_publish_trace t (fun () -> publish_core t event)
 
 let publish_quenched t event =
   if Quench.wanted_event (quench t) event then Some (publish t event)
@@ -535,41 +505,37 @@ let set_notifications t n =
       (Stdlib.max 0 (n - t.notifications)));
   t.notifications <- n
 
+(* A record that decoded cleanly may still carry values the live path
+   never journals; replay rejects them instead of raising. *)
+let check_counters ~dlq_total ~dlq_dropped =
+  if dlq_total < 0 || dlq_dropped < 0 then
+    Error "journal: negative dead-letter counter"
+  else Ok ()
+
 (* Replay one journaled operation onto a recovering broker. Matching
    decisions are re-executed (so the learned statistics and composite
    detector streams regrow exactly); counters and supervisor state are
-   restored absolutely from the record. *)
+   restored absolutely from the record. Subscribe ids must be the ones
+   the live path would have assigned next. *)
 let apply_op t resolve op =
   let ( let* ) = Result.bind in
   match op with
+  | Journal.Subscribe { id; _ } when id <> Profile_set.next_id t.pset ->
+    Error (Printf.sprintf "journal: subscribe id %d out of sequence" id)
+  | Journal.Subscribe_composite { id; _ } when id <> t.next_comp ->
+    Error (Printf.sprintf "journal: composite id %d out of sequence" id)
   | Journal.Subscribe { id; subscriber; profile } -> (
     match Engine.add_profile_with_id t.engine ~id profile with
     | () ->
-      Hashtbl.replace t.handlers id
-        {
-          p_subscriber = subscriber;
-          p_handler = resolve ~subscriber;
-          p_delivered = delivery_counter t.instruments subscriber;
-        };
+      bind_prim t id ~subscriber (resolve ~subscriber);
       invalidate_quench t;
       Ok ()
     | exception Invalid_argument msg -> Error msg)
-  | Journal.Subscribe_composite { id; subscriber; expr } -> (
-    match Composite.compile t.schema expr with
-    | Error e -> Error e
-    | Ok detector ->
-      Hashtbl.replace t.composites id
-        {
-          subscriber;
-          detector;
-          expr;
-          prims = prims_of_expr expr;
-          handler = resolve ~subscriber;
-          c_delivered = delivery_counter t.instruments subscriber;
-        };
-      if id >= t.next_comp then t.next_comp <- id + 1;
-      invalidate_quench t;
-      Ok ())
+  | Journal.Subscribe_composite { id; subscriber; expr } ->
+    let* () = add_composite t id ~subscriber expr (resolve ~subscriber) in
+    t.next_comp <- id + 1;
+    invalidate_quench t;
+    Ok ()
   | Journal.Unsubscribe_prim { id } ->
     if Engine.remove_profile t.engine id then begin
       Hashtbl.remove t.handlers id;
@@ -585,7 +551,7 @@ let apply_op t resolve op =
   | Journal.Publish
       {
         events;
-        batch;
+        batch = _;
         published;
         notifications;
         ops;
@@ -594,38 +560,39 @@ let apply_op t resolve op =
         dlq_total;
         dlq_dropped;
       } ->
+    let* () = check_counters ~dlq_total ~dlq_dropped in
     Array.iter (fun ev -> Engine.replay_observe t.engine ev) events;
-    (match t.adaptive with
-    | None -> ()
-    | Some a ->
-      (* Same cadence as the live path: one tick per event for single
-         publishes, one tick for the whole array for batches. *)
-      if batch then Adaptive.note_events a (Array.length events)
-      else Array.iter (fun _ -> Adaptive.note_events a 1) events);
-    Array.iter
-      (fun ev ->
-        Hashtbl.iter
-          (fun _ c -> ignore (Composite.feed c.detector ev))
-          t.composites)
-      events;
+    (* One tick per record: the live path journals one event per
+       record, and a multi-event record from an older writer was one
+       tick for its whole array when it was written. *)
+    Option.iter
+      (fun a -> Adaptive.note_events a (Array.length events))
+      t.adaptive;
+    let feed ev =
+      Hashtbl.iter (fun _ c -> ignore (Composite.feed c.detector ev))
+        t.composites
+    in
+    (* A composite detector raises on an event older than its last. *)
+    let* () =
+      try Ok (Array.iter feed events) with Invalid_argument msg -> Error msg
+    in
     set_published t published;
     set_notifications t notifications;
     Engine.restore_ops t.engine ops;
     let dlq = Supervise.deadletter t.super in
     List.iter (Deadletter.push dlq) new_deadletters;
     Deadletter.force_counters dlq ~total:dlq_total ~dropped:dlq_dropped;
-    let* () = Supervise.import t.super supervise in
-    Ok ()
+    Supervise.import t.super supervise
   | Journal.Deadletter_replay
       { published; notifications; supervise; dlq_entries; dlq_total; dlq_dropped }
     ->
+    let* () = check_counters ~dlq_total ~dlq_dropped in
     set_published t published;
     set_notifications t notifications;
     Deadletter.restore
       (Supervise.deadletter t.super)
       dlq_entries ~total:dlq_total ~dropped:dlq_dropped;
-    let* () = Supervise.import t.super supervise in
-    Ok ()
+    Supervise.import t.super supervise
 
 let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
     ?tracer ?aggregate ?delta_cap
@@ -651,54 +618,22 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
         Ok ()
       | exception Invalid_argument msg -> Error msg)
   in
-  let engine = Engine.create ?spec ?metrics ?aggregate ?delta_cap pset in
-  (match tracer with
-  | Some tr when Genas_obs.Trace.sample_rate tr > 0.0 ->
-    Engine.set_profiling engine true
-  | _ -> ());
-  let adaptive =
-    Option.map (fun policy -> Adaptive.create ~policy ?metrics engine) adaptive
-  in
   let t =
-    {
-      schema;
-      pset;
-      engine;
-      adaptive;
-      handlers = Hashtbl.create 64;
-      composites = Hashtbl.create 8;
-      next_comp = 0;
-      quench = None;
-      published = 0;
-      notifications = 0;
-      super =
-        Supervise.create ?policy:retry ?deadletter_capacity ?metrics ?tracer
-          ~prefix:"genas_broker" ();
-      faults;
-      (* Attached after replay, so replaying never re-journals. *)
-      journal = None;
-      tracer;
-      instruments = Option.map make_instruments metrics;
-    }
+    make ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity ?tracer
+      ?aggregate ?delta_cap schema pset
   in
-  let resolve = handlers in
   let* () =
     match recovered.Journal.snapshot with
     | None -> Ok ()
     | Some snap ->
       List.iter
         (fun (id, subscriber, _) ->
-          Hashtbl.replace t.handlers id
-            {
-              p_subscriber = subscriber;
-              p_handler = resolve ~subscriber;
-              p_delivered = delivery_counter t.instruments subscriber;
-            })
+          bind_prim t id ~subscriber (handlers ~subscriber))
         snap.Snapshot.profiles;
-      let* () = Stats.import (Engine.stats engine) snap.Snapshot.stats in
-      Engine.restore_ops engine snap.Snapshot.ops;
+      let* () = Stats.import (Engine.stats t.engine) snap.Snapshot.stats in
+      Engine.restore_ops t.engine snap.Snapshot.ops;
       let* () =
-        match (adaptive, snap.Snapshot.adaptive) with
+        match (t.adaptive, snap.Snapshot.adaptive) with
         | Some a, Some e -> Adaptive.import a e
         | _ -> Ok ()
       in
@@ -706,19 +641,7 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
         List.fold_left
           (fun acc (id, subscriber, expr) ->
             let* () = acc in
-            match Composite.compile t.schema expr with
-            | Error e -> Error e
-            | Ok detector ->
-              Hashtbl.replace t.composites id
-                {
-                  subscriber;
-                  detector;
-                  expr;
-                  prims = prims_of_expr expr;
-                  handler = resolve ~subscriber;
-                  c_delivered = delivery_counter t.instruments subscriber;
-                };
-              Ok ())
+            add_composite t id ~subscriber expr (handlers ~subscriber))
           (Ok ()) snap.Snapshot.composites
       in
       t.next_comp <- Stdlib.max t.next_comp snap.Snapshot.next_comp;
@@ -734,7 +657,7 @@ let recover ?spec ?adaptive ?metrics ?retry ?faults ?deadletter_capacity
     List.fold_left
       (fun acc op ->
         let* () = acc in
-        apply_op t resolve op)
+        apply_op t handlers op)
       (Ok ()) recovered.Journal.tail
   in
   Ok { t with journal = Some j }

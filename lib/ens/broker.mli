@@ -36,8 +36,8 @@ val create :
     [delta_cap] bounds the structural churn accumulated between epoch
     swaps. See docs/SCALING.md.
 
-    [tracer] attaches end-to-end causal tracing: every {!publish} /
-    {!publish_batch} (if sampled) yields one span tree —
+    [tracer] attaches end-to-end causal tracing: every {!publish} (if
+    sampled) yields one span tree —
     ["broker.publish"] → ["engine.match"] → per-delivery ["deliver"] /
     ["deliver.attempt"] spans → ["journal.append"] and
     ["snapshot.install"] — with the flat-matcher traversal path
@@ -115,13 +115,6 @@ val publish : t -> Genas_model.Event.t -> int
     circuit is open) are dead-lettered and not counted — [published],
     [notifications], and the broker metrics stay mutually consistent
     whatever the handlers do. *)
-
-val publish_batch : t -> Genas_model.Event.t array -> int
-(** Filter a whole batch, then deliver notifications in batch order;
-    returns the total notifications sent. Matching, delivery and
-    composite detection all run on the calling domain, so
-    handler-visible behavior is identical to publishing the events one
-    by one. Instrumented brokers record the batch size (histogram). *)
 
 val publish_quenched : t -> Genas_model.Event.t -> int option
 (** Consult the quench table first: [None] if the event provably
@@ -226,6 +219,10 @@ val recover :
     next rebuild, counters, dead-letter queue — pass the same [spec],
     [adaptive], and [retry] the original was created with, and handlers
     with the same accept/raise behavior.
+
+    A record that passes its checksum but that no live broker could
+    have written (an out-of-sequence id, a negative counter) makes
+    recovery return [Error]; it never raises.
 
     Known limits (documented in docs/ROBUSTNESS.md): composite detector
     state {e spanning} a snapshot boundary is not captured (occurrences

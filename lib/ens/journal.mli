@@ -54,8 +54,8 @@ type op =
   | Publish of {
       events : Genas_model.Event.t array;
       batch : bool;
-          (** batch publishes advance the adaptive cadence once for the
-              whole array, exactly like the live path *)
+          (** written [false], with one event; older [true] records
+              replay as one adaptive tick for the whole array *)
       published : int;  (** absolute, after this operation *)
       notifications : int;  (** absolute *)
       ops : Genas_filter.Ops.t;  (** absolute matcher counters *)

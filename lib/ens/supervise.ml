@@ -425,11 +425,10 @@ let import t (e : Export.t) =
         let seen = Metrics.Counter.value ins.deadletter_dropped_total in
         if dropped > seen then
           Metrics.Counter.add ins.deadletter_dropped_total (dropped - seen));
-    (* Fast-forward the jitter stream: re-create positions by discarding
-       the draws the original consumed before the export. *)
-    for _ = t.jitter_draws + 1 to e.Export.jitter_draws do
-      ignore (Prng.float t.rng ~bound:1.0)
-    done;
+    (* Fast-forward the jitter stream past the draws the original
+       consumed before the export (one [bits64] per jitter draw), in
+       O(1) whatever count the record carries. *)
+    Prng.advance t.rng (e.Export.jitter_draws - t.jitter_draws);
     t.jitter_draws <- e.Export.jitter_draws;
     Hashtbl.reset t.circuits;
     let opens = ref 0 in

@@ -18,6 +18,12 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* Each draw adds [golden_gamma] to the state, so skipping [n] draws is
+   one multiply-add (mod 2^64). *)
+let advance t n =
+  if n < 0 then invalid_arg "Prng.advance: negative count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
 let split t =
   (* Mixing with a distinct finalizer constant keeps the child stream
      decorrelated from the parent's continuation. *)

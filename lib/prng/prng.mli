@@ -26,6 +26,13 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val advance : t -> int -> unit
+(** [advance t n] skips [n] draws in O(1): afterwards [t] yields the
+    same stream as after [n] calls to {!bits64}, or to {!float}, which
+    consumes one each.
+
+    @raise Invalid_argument if [n < 0]. *)
+
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform on [[0, bound-1]]. [bound] must be
     positive.

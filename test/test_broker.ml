@@ -210,7 +210,7 @@ let test_quench_covers_composites () =
 
 (* --- delivery supervision: a raising handler must not starve the
    other subscribers, and every counter pair must stay mutually
-   consistent (regression for the publish/publish_batch divergence). *)
+   consistent. *)
 
 module Supervise = Genas_ens.Supervise
 module Deadletter = Genas_ens.Deadletter
@@ -257,28 +257,6 @@ let test_raising_handler_single () =
     Alcotest.(check string) "dlq subscriber" "alice"
       e.Deadletter.notification.Notification.subscriber
   | l -> Alcotest.failf "expected 1 dead letter, got %d" (List.length l)
-
-let test_raising_handler_batch () =
-  let s = schema () in
-  let b = Broker.create s in
-  let bob_log = ref 0 in
-  let _ =
-    Result.get_ok
-      (Broker.subscribe_text b ~subscriber:"alice" "x >= 5" (fun _ ->
-           failwith "still broken"))
-  in
-  let _ =
-    Result.get_ok
-      (Broker.subscribe_text b ~subscriber:"bob" "k = a" (fun _ -> incr bob_log))
-  in
-  let batch = [| event s 7 "a"; event s 9 "b"; event s 1 "a" |] in
-  (* alice matches events 0 and 1 (both fail); bob matches 0 and 2. *)
-  Alcotest.(check int) "accepted total" 2 (Broker.publish_batch b batch);
-  Alcotest.(check int) "bob ran twice" 2 !bob_log;
-  Alcotest.(check int) "published" 3 (Broker.published b);
-  Alcotest.(check int) "notifications" 2 (Broker.notifications b);
-  Alcotest.(check int) "failures" 2 (Supervise.failures (Broker.supervisor b));
-  Alcotest.(check int) "dead letters" 2 (Deadletter.length (Broker.deadletter b))
 
 (* A tracer that never samples must stay off the matcher and cost
    nothing: the engine keeps its plain (unrecorded) loop, no trace is
@@ -372,8 +350,6 @@ let () =
         [
           Alcotest.test_case "raising handler (publish)" `Quick
             test_raising_handler_single;
-          Alcotest.test_case "raising handler (batch)" `Quick
-            test_raising_handler_batch;
           Alcotest.test_case "raising composite handler" `Quick
             test_raising_composite_handler;
         ] );

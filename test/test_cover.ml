@@ -304,9 +304,8 @@ let prop_agg_equals_plain_under_churn =
                 (5, Gen.event s >|= fun e -> `Match e);
                 (1, return `Swap);
               ])
-         >>= fun ops ->
-         Gen.events ~n:15 s >|= fun batch -> (s, initial, ops, batch)))
-    (fun (s, initial, ops, batch) ->
+         >|= fun ops -> (s, initial, ops)))
+    (fun (s, initial, ops) ->
       let mk aggregate =
         let pset = Profile_set.create s in
         List.iter (fun pr -> ignore (Profile_set.add pset pr)) initial;
@@ -335,13 +334,7 @@ let prop_agg_equals_plain_under_churn =
           Engine.swap_now agg;
           true
       in
-      List.for_all step ops
-      &&
-      (* Batch path too, with a swap left pending. *)
-      let ba = Engine.match_batch plain (Array.of_list batch) in
-      let bb = Engine.match_batch agg (Array.of_list batch) in
-      Array.for_all2 (fun x y -> ids_equal (Array.to_list x) (Array.to_list y))
-        ba bb)
+      List.for_all step ops)
 
 let test_agg_gauges_and_epochs () =
   let s = schema () in

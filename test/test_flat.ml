@@ -200,33 +200,10 @@ let prop_batch_equals_sequential =
           got.(i) <- Array.sub ids 0 len);
       got = seq)
 
-let prop_engine_batch_equals_match_event =
-  QCheck.Test.make ~name:"Engine.match_batch = Engine.match_event loop"
-    ~count:25
-    (QCheck.make (Gen.scenario ~max_attrs:3 ~max_p:10 ~n_events:20 ()))
-    (fun (_, pset, events) ->
-      let events = Array.of_list events in
-      let seq =
-        let engine = Engine.create pset in
-        Array.map
-          (fun e -> Array.of_list (Engine.match_event engine e))
-          events
-      in
-      let batched =
-        let engine = Engine.create pset in
-        Engine.match_batch engine events
-      in
-      let profiled =
-        let engine = Engine.create pset in
-        Engine.set_profiling engine true;
-        Engine.match_batch engine events
-      in
-      seq = batched && seq = profiled)
-
 (* An aggregated engine compiles only the covering-minimal roots and
    expands absorbed profiles at match time; its decisions must be
-   bit-identical to a plain engine over the same registry, on both the
-   single-event and batch paths, before and after an epoch swap. *)
+   bit-identical to a plain engine over the same registry, before and
+   after an epoch swap. *)
 let prop_engine_aggregated_equals_plain =
   QCheck.Test.make ~name:"aggregated Engine = plain Engine"
     ~count:25
@@ -244,7 +221,9 @@ let prop_engine_aggregated_equals_plain =
         Array.map (fun e -> Array.of_list (Engine.match_event agg e)) events
       in
       Engine.swap_now agg;
-      let after_swap = Engine.match_batch agg events in
+      let after_swap =
+        Array.map (fun e -> Array.of_list (Engine.match_event agg e)) events
+      in
       plain = before_swap && plain = after_swap)
 
 (* The hotness-guided relayout is a pure permutation of memory order:
@@ -503,7 +482,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_flat_equals_baselines;
           QCheck_alcotest.to_alcotest prop_recorded_equals_plain;
           QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
-          QCheck_alcotest.to_alcotest prop_engine_batch_equals_match_event;
           QCheck_alcotest.to_alcotest prop_engine_aggregated_equals_plain;
           QCheck_alcotest.to_alcotest prop_relayout_equals_default;
           QCheck_alcotest.to_alcotest prop_engine_relayout_now;

@@ -11,6 +11,9 @@ module Profile = Genas_profile.Profile
 module Composite = Genas_ens.Composite
 module Codec = Genas_ens.Codec
 module Transport = Genas_ens.Transport
+module Broker = Genas_ens.Broker
+module Journal = Genas_ens.Journal
+module Supervise = Genas_ens.Supervise
 module Gen = Genas_testlib.Gen
 
 let schema () =
@@ -164,13 +167,25 @@ let wire_message s =
            (Transport.Deliver { cursor; idx; replay; origin; event; ctx }));
       ])
 
+let flips =
+  QCheck.Gen.(
+    list_size (int_range 1 5) (pair (int_bound 1_000_000) (int_range 1 255)))
+
+let apply_flips payload fl =
+  let b = Bytes.of_string payload in
+  let len = Bytes.length b in
+  List.iter
+    (fun (at, mask) ->
+      let i = at mod len in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask))
+    fl;
+  b
+
 let mutation =
   QCheck.Gen.(
     frequency
       [
-        ( 3,
-          list_size (int_range 1 5) (pair (int_bound 1_000_000) (int_range 1 255))
-          >|= fun fl -> Flips fl );
+        (3, flips >|= fun fl -> Flips fl);
         (1, oneofl [ max_int; 1 lsl 40; -1 ] >|= fun v -> Overwrite v);
       ])
 
@@ -191,14 +206,7 @@ let prop_decode_total_under_mutation =
             (Bytes.to_string bytes)
       in
       match m with
-      | Flips fl ->
-        let b = Bytes.of_string payload in
-        List.iter
-          (fun (at, mask) ->
-            let i = at mod len in
-            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask))
-          fl;
-        decodes b
+      | Flips fl -> decodes (apply_flips payload fl)
       | Overwrite v ->
         List.for_all
           (fun at ->
@@ -206,6 +214,93 @@ let prop_decode_total_under_mutation =
             Bytes.set_int64_le b at (Int64.of_int v);
             decodes b)
           (List.init (max 0 (len - 7)) Fun.id))
+
+(* Journal replay decodes untrusted bytes too. One record of a journal
+   written by a live broker (subscribes, a composite, publishes with
+   retries and dead letters, a dead-letter replay, unsubscribes) gets
+   1-5 bytes flipped and is re-framed so its checksum holds: recovery
+   must return [Ok] or [Error], never raise or run for a time set by a
+   count read from disk. *)
+let wal_dir =
+  let path = Filename.temp_file "genas_fuzz" ".d" in
+  Sys.remove path;
+  at_exit (fun () ->
+      if Sys.file_exists path then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat path f))
+          (Sys.readdir path);
+        Sys.rmdir path
+      end);
+  path
+
+let wal_cfg = Journal.config ~fsync:false ~seed:7 wal_dir
+
+let wal_header_len = 16 (* "GWAL001\n" and the 8-byte seed *)
+
+let retry () = Supervise.retry_policy ~max_attempts:2 ~jitter_seed:1 ()
+
+let adaptive =
+  { Genas_core.Adaptive.warmup = 4; check_every = 3; drift_threshold = 0.2 }
+
+let journal_records =
+  lazy
+    (let s = schema () in
+     let b = Broker.create ~retry:(retry ()) ~adaptive ~journal:wal_cfg s in
+     let sub who src h =
+       Result.get_ok (Broker.subscribe_text b ~subscriber:who src h)
+     in
+     let ok = sub "ok" "count >= 50" ignore in
+     ignore (sub "broken" "temp >= 0.0" (fun _ -> failwith "broken"));
+     let prim src = Composite.Prim (Result.get_ok (Lang.parse_profile s src)) in
+     let seq = Composite.Seq (prim "site = a", prim "flag = true", 25.0) in
+     let comp =
+       Result.get_ok (Broker.subscribe_composite b ~subscriber:"w" seq ignore)
+     in
+     for i = 0 to 11 do
+       Event.create_exn ~time:(float_of_int (10 * i)) s
+         [
+           ("temp", Value.Float (float_of_int ((i * 7 mod 16) - 5)));
+           ("count", Value.Int (i * 13 mod 101));
+           ("site", Value.Str (if i mod 3 = 0 then "a" else "b"));
+           ("flag", Value.Bool (i mod 2 = 1));
+         ]
+       |> Broker.publish b |> ignore
+     done;
+     ignore (Broker.replay_deadletters b);
+     ignore (Broker.unsubscribe b ok);
+     ignore (Broker.unsubscribe b comp);
+     Broker.close b;
+     let wal =
+       In_channel.with_open_bin (Filename.concat wal_dir "journal.wal")
+         In_channel.input_all
+     in
+     let seed = wal_cfg.Journal.seed in
+     let records, _, _ = Codec.parse_frames ~seed wal ~pos:wal_header_len in
+     (String.sub wal 0 wal_header_len, Array.of_list records))
+
+let prop_recover_total_under_mutation =
+  QCheck.Test.make ~name:"Broker.recover is total on mutated journal records"
+    ~count:300
+    (QCheck.make QCheck.Gen.(pair nat flips))
+    (fun (k, fl) ->
+      let header, records = Lazy.force journal_records in
+      let k = k mod Array.length records in
+      let frame i r =
+        Codec.frame ~seed:wal_cfg.Journal.seed
+          (if i = k then Bytes.to_string (apply_flips r fl) else r)
+      in
+      Out_channel.with_open_bin (Filename.concat wal_dir "journal.wal")
+        (fun oc ->
+          output_string oc header;
+          Array.iteri (fun i r -> output_string oc (frame i r)) records);
+      match
+        Broker.recover ~retry:(retry ()) ~adaptive ~journal:wal_cfg (schema ())
+      with
+      | Ok b ->
+        Broker.close b;
+        true
+      | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "record %d: raised %s" k (Printexc.to_string e))
 
 let () =
   Alcotest.run "fuzz"
@@ -222,4 +317,7 @@ let () =
       ( "wire",
         List.map QCheck_alcotest.to_alcotest
           [ prop_decode_total_under_mutation ] );
+      ( "journal",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_recover_total_under_mutation ] );
     ]

@@ -152,6 +152,22 @@ let prop_bernoulli_extremes =
       let rng = Prng.create ~seed in
       (not (Prng.bernoulli rng ~p:0.0)) && Prng.bernoulli rng ~p:1.0)
 
+(* [advance n] is an O(1) jump to where [n] float draws would leave the
+   stream; the next draws must agree bit for bit. *)
+let test_advance () =
+  for n = 0 to 1000 do
+    let drawn = Prng.create ~seed:n and jumped = Prng.create ~seed:n in
+    for _ = 1 to n do
+      ignore (Prng.float drawn ~bound:1.0)
+    done;
+    Prng.advance jumped n;
+    if Prng.bits64 drawn <> Prng.bits64 jumped then
+      Alcotest.failf "advance %d differs from %d draws" n n
+  done;
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Prng.advance: negative count") (fun () ->
+      Prng.advance (Prng.create ~seed:1) (-1))
+
 let () =
   Alcotest.run "prng"
     [
@@ -161,6 +177,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "split" `Quick test_split_decorrelated;
+          Alcotest.test_case "advance = n draws" `Quick test_advance;
         ] );
       ( "draws",
         [

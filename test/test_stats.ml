@@ -205,6 +205,17 @@ let test_observe_event_agrees_with_axis_coord () =
   Alcotest.(check bool) "exports identical" true
     (Stats.export fast = Stats.export reference)
 
+(* An out-of-axis coordinate is dropped, not binned. [nan] fails every
+   comparison, so on a continuous axis no range test rejects it unless
+   it is written to. *)
+let test_nan_dropped () =
+  let schema = Schema.create_exn [ ("f", Domain.float_range ~lo:0.0 ~hi:10.0) ] in
+  let stats = Stats.create (Decomp.build (Profile_set.create schema)) in
+  Stats.observe_coords stats [| Float.nan |];
+  let h = (Stats.export stats).Stats.Export.hists.(0) in
+  Alcotest.(check (pair int int)) "count, dropped" (0, 1)
+    Genas_dist.Estimator.Export.(h.total, h.dropped)
+
 let () =
   Alcotest.run "stats"
     [
@@ -215,6 +226,7 @@ let () =
           Alcotest.test_case "assumed precedence" `Quick test_assumed_takes_precedence;
           Alcotest.test_case "axis guard" `Quick test_assume_axis_guard;
           Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "nan coordinate dropped" `Quick test_nan_dropped;
         ] );
       ( "profile distributions",
         [
